@@ -24,6 +24,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/segstore"
 	"repro/internal/serve"
+	"repro/internal/stream"
 )
 
 var (
@@ -207,21 +208,32 @@ func BenchmarkCompressLZ4Stock(b *testing.B) {
 	benchCompress(b, compress.NewLZ4(), dataset.NewStock(1))
 }
 
-// BenchmarkPipelineTcomp32 measures the decomposed goroutine pipeline
-// against the fused single-thread path above.
-func BenchmarkPipelineTcomp32(b *testing.B) {
-	batch := dataset.NewRovio(1).Batch(0, 256*1024)
-	alg := compress.NewTcomp32()
+// benchPipeline measures the slice executor in its steady-state pattern:
+// run, then Release the pooled result.
+func benchPipeline(b *testing.B, alg compress.Algorithm, batch *stream.Batch, slices int, workers []int) {
 	b.SetBytes(int64(batch.Size()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := compress.RunPipeline(alg, batch, 4, []int{2, 2})
+		res, err := compress.RunPipeline(alg, batch, slices, workers)
 		if err != nil || res.TotalBits == 0 {
 			b.Fatal(err)
 		}
-		res.Release() // recycle pooled segment buffers, the steady-state pattern
+		res.Release()
 	}
+}
+
+// BenchmarkPipelineTcomp32 is the helper side of the executor's width rule:
+// 256 KiB in 4 slices, so the caller and three helpers take one slice each.
+func BenchmarkPipelineTcomp32(b *testing.B) {
+	benchPipeline(b, compress.NewTcomp32(), dataset.NewRovio(1).Batch(0, 256*1024), 4, []int{2, 2})
+}
+
+// BenchmarkPipelineDelta32Small is the inline side, in the shape serve's
+// small sessions run: a 4 KiB batch in the plan's 12 slices with [2 1]
+// workers, all on the calling goroutine.
+func BenchmarkPipelineDelta32Small(b *testing.B) {
+	benchPipeline(b, compress.NewDelta32(), dataset.NewStock(1).Batch(0, 4096), 12, []int{2, 1})
 }
 
 // BenchmarkSegmentAppend measures the durable segment sink's hot path: one

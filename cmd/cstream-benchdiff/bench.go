@@ -14,14 +14,51 @@ type BenchResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// BaselineFile is the committed BENCH_5.json layout. PrePR is an immutable
-// reference section recording the pre-optimization numbers the PR's speedup
-// claims are measured against; Baseline is the gate's comparison target and
-// is rewritten by -update.
+// Host records where a snapshot was measured: timings only compare across
+// snapshots taken on like hosts, and the serve rungs scale with CPUs.
+type Host struct {
+	// CPUs is the GOMAXPROCS the benchmarks ran with (the -N name suffix).
+	CPUs int `json:"cpus"`
+	// CPU is the model `go test` printed.
+	CPU string `json:"cpu,omitempty"`
+}
+
+// BaselineFile is the committed BENCH_<pr>.json layout: one snapshot per PR,
+// written once by -snapshot and never refreshed in place, so the files form
+// a trajectory. Baseline is the gate's comparison target. PrePR (BENCH_5.json
+// only) records the pre-optimization numbers that PR's claims were measured
+// against.
 type BaselineFile struct {
 	Note     string                 `json:"note,omitempty"`
+	Host     *Host                  `json:"host,omitempty"`
 	PrePR    map[string]BenchResult `json:"pre_pr,omitempty"`
 	Baseline map[string]BenchResult `json:"baseline"`
+}
+
+// parseHost reads the cpu line `go test -bench` prints and the GOMAXPROCS
+// suffix of the benchmark names.
+func parseHost(out string) *Host {
+	h := &Host{CPUs: 1}
+	for _, line := range strings.Split(out, "\n") {
+		line = strings.TrimSpace(line)
+		if v, ok := strings.CutPrefix(line, "cpu:"); ok {
+			h.CPU = strings.TrimSpace(v)
+		} else if strings.HasPrefix(line, "Benchmark") {
+			_, h.CPUs = splitProcs(strings.Fields(line)[0])
+		}
+	}
+	return h
+}
+
+// splitProcs splits a benchmark name from its trailing -N GOMAXPROCS suffix
+// (absent when N is 1).
+func splitProcs(name string) (base string, procs int) {
+	if i := strings.LastIndex(name, "-"); i > 0 {
+		if n, err := strconv.Atoi(name[i+1:]); err == nil {
+			return name[:i], n
+		}
+	}
+	return name, 1
 }
 
 // parseBenchOutput extracts BenchmarkName → metrics from `go test -bench
@@ -41,12 +78,7 @@ func parseBenchOutput(out string) (map[string]BenchResult, error) {
 		if len(fields) < 4 {
 			continue
 		}
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
-		}
+		name, _ := splitProcs(fields[0])
 		var r BenchResult
 		seen := false
 		for i := 2; i+1 < len(fields); i += 2 {
@@ -111,7 +143,8 @@ type Report struct {
 }
 
 // compare evaluates current against baseline. Benchmarks missing on either
-// side are reported but gate nothing (renames should go through -update).
+// side are reported but gate nothing (they enter the gate with the next
+// -snapshot).
 func compare(baseline, current map[string]BenchResult, tol float64) Report {
 	var rep Report
 	names := make([]string, 0, len(current))

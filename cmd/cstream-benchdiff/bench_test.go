@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 const sampleOutput = `goos: linux
 goarch: amd64
@@ -31,6 +35,31 @@ func TestParseBenchOutput(t *testing.T) {
 	lz := got["BenchmarkCompressLZ4Sensor"]
 	if lz.AllocsPerOp != 2 || lz.BytesPerOp != 64 {
 		t.Fatalf("bad lz4 metrics: %+v", lz)
+	}
+}
+
+func TestParseHost(t *testing.T) {
+	got := *parseHost(sampleOutput)
+	if want := (Host{CPUs: 8, CPU: "whatever"}); got != want {
+		t.Fatalf("host = %+v, want %+v", got, want)
+	}
+	if got := parseHost("BenchmarkX \t 10 \t 5 ns/op\n"); got.CPUs != 1 {
+		t.Fatalf("no -N suffix means GOMAXPROCS=1, got %d", got.CPUs)
+	}
+}
+
+func TestLatestSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if got := latestSnapshot(dir); got != "" {
+		t.Fatalf("empty dir: %q", got)
+	}
+	for _, name := range []string{"BENCH_5.json", "BENCH_12.json", "BENCH_x.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{}"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := latestSnapshot(dir); filepath.Base(got) != "BENCH_12.json" {
+		t.Fatalf("latest = %q, want BENCH_12.json (numeric, not lexical, order)", got)
 	}
 }
 

@@ -5,7 +5,8 @@
 // and the multi-session ingest round trip — and the plan-repair kernel
 // BenchmarkPlanChurnRepair),
 // parses the standard `go test -bench` output, and compares the result
-// against a committed baseline (BENCH_5.json at the repository root):
+// against a committed baseline (the highest-numbered BENCH_<pr>.json at the
+// repository root):
 //
 //   - an allocs/op increase over the baseline is a hard failure (exit 1) —
 //     allocation counts are deterministic, so any increase is a real
@@ -16,14 +17,14 @@
 //
 // Usage:
 //
-//	cstream-benchdiff [-update] [-tolerance 10%] [-strict-time]
-//	                  [-baseline BENCH_5.json] [-bench regexp] [-pkg dir]
-//	                  [-benchtime 0.5s] [-parse file]
+//	cstream-benchdiff [-snapshot BENCH_<pr>.json] [-tolerance 10%]
+//	                  [-strict-time] [-baseline file] [-bench regexp]
+//	                  [-pkg dir] [-benchtime 0.5s] [-parse file]
 //
-// -update reruns the benchmarks and rewrites the baseline's "baseline"
-// section (preserving any "pre_pr" reference section). -parse skips running
-// and reads pre-recorded `go test -bench` output from a file, for CI
-// pipelines that split the run and the gate.
+// -snapshot writes the run to a new per-PR file, with the host it ran on,
+// instead of gating; committed snapshots are never rewritten, so they form a
+// trajectory. -parse skips running and reads pre-recorded `go test -bench`
+// output from a file, for CI pipelines that split the run and the gate.
 package main
 
 import (
@@ -32,13 +33,16 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"strconv"
+	"strings"
 )
 
 func main() {
-	update := flag.Bool("update", false, "rewrite the baseline from a fresh run")
+	snapshot := flag.String("snapshot", "", "write the run to this new BENCH_<pr>.json instead of gating")
 	tolerance := flag.String("tolerance", "10%", "allowed ns/op regression (e.g. 10%)")
 	strictTime := flag.Bool("strict-time", false, "treat ns/op regressions as failures")
-	baselinePath := flag.String("baseline", "BENCH_5.json", "baseline file")
+	baselinePath := flag.String("baseline", "", "baseline file (default: the highest-numbered BENCH_<pr>.json)")
 	benchPat := flag.String("bench", "^(BenchmarkCompress|BenchmarkPipeline|BenchmarkDecompress|BenchmarkSegment|BenchmarkServe|BenchmarkPlanChurnRepair$)", "benchmark regexp")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	benchtime := flag.String("benchtime", "0.5s", "go test -benchtime value")
@@ -73,20 +77,27 @@ func main() {
 		fatalf("no benchmark results matched %q", *benchPat)
 	}
 
-	if *update {
-		base, _ := readBaseline(*baselinePath) // keep pre_pr if present
-		base.Baseline = current
-		if err := writeBaseline(*baselinePath, base); err != nil {
+	if *snapshot != "" {
+		if _, err := os.Stat(*snapshot); err == nil {
+			fatalf("%s exists; snapshots are per-PR and never rewritten", *snapshot)
+		}
+		if err := writeBaseline(*snapshot, BaselineFile{Host: parseHost(string(out)), Baseline: current}); err != nil {
 			fatalf("%v", err)
 		}
-		fmt.Printf("cstream-benchdiff: wrote %d benchmark baselines to %s\n", len(current), *baselinePath)
+		fmt.Printf("cstream-benchdiff: wrote %d benchmarks to %s\n", len(current), *snapshot)
 		return
 	}
 
+	if *baselinePath == "" {
+		if *baselinePath = latestSnapshot("."); *baselinePath == "" {
+			fatalf("no BENCH_<pr>.json here (run with -snapshot to create one)")
+		}
+	}
 	base, err := readBaseline(*baselinePath)
 	if err != nil {
-		fatalf("%v (run with -update to create it)", err)
+		fatalf("%v", err)
 	}
+	fmt.Printf("cstream-benchdiff: gating against %s\n", *baselinePath)
 	rep := compare(base.Baseline, current, tol)
 	for _, l := range rep.Lines {
 		fmt.Println(l)
@@ -109,6 +120,20 @@ func main() {
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "cstream-benchdiff: "+format+"\n", args...)
 	os.Exit(2)
+}
+
+// latestSnapshot returns the BENCH_<pr>.json in dir with the highest <pr>,
+// or "" when there is none.
+func latestSnapshot(dir string) string {
+	paths, _ := filepath.Glob(filepath.Join(dir, "BENCH_*.json")) //nolint:errcheck // the pattern is well-formed
+	best, bestPR := "", -1
+	for _, p := range paths {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
+		if pr, err := strconv.Atoi(num); err == nil && pr > bestPR {
+			best, bestPR = p, pr
+		}
+	}
+	return best
 }
 
 func readBaseline(path string) (BaselineFile, error) {

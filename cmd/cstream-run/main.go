@@ -10,6 +10,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -129,15 +130,7 @@ func run(algName, dsName, mech string, lset float64, batch, batches, reps int, s
 	}
 	var inBytes, outBits uint64
 	for i := 0; i < batches; i++ {
-		var res *compress.PipelineResult
-		var err error
-		if obs != nil {
-			workers, slices := dep.StageWorkers(w.Algorithm)
-			b := w.Dataset.Batch(i, w.BatchBytes)
-			res, err = compress.RunPipelineObserved(w.Algorithm, b, slices, workers, obs)
-		} else {
-			res, err = dep.RunBatch(w, i)
-		}
+		res, err := dep.RunBatchObserved(context.Background(), w, i, obs)
 		if err != nil {
 			return err
 		}

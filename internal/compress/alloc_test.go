@@ -48,6 +48,36 @@ func TestCompressReuseZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRunPipelineZeroAlloc extends the contract to the slice executor on
+// its inline side: a 4 KiB batch in 12 slices, run and Released, allocates
+// nothing once the pooled run state, intermediates and segment buffers have
+// reached their working-set size.
+func TestRunPipelineZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	batch := allocBatch(4096)
+	for _, alg := range append(All(), Extensions()...) {
+		t.Run(alg.Name(), func(t *testing.T) {
+			workers := make([]int, len(StageSets(alg)))
+			workers[0] = 2
+			run := func() {
+				res, err := RunPipeline(alg, batch, 12, workers)
+				if err != nil || res.TotalBits == 0 {
+					t.Fatalf("empty output: %v", err)
+				}
+				res.Release()
+			}
+			for i := 0; i < 3; i++ {
+				run()
+			}
+			if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
+				t.Fatalf("%s RunPipeline allocated %.1f times per run, want 0", alg.Name(), allocs)
+			}
+		})
+	}
+}
+
 // TestCompressBatchMatchesReuse proves the owning and the aliasing APIs are
 // the same computation: identical output bytes, bit lengths, and per-step
 // costs (bit-for-bit, since the plan search depends on exact float costs).

@@ -41,19 +41,24 @@ func (r *Tdic32ParallelResult) TotalCost() Cost {
 	return c
 }
 
-// splitWords partitions data into n contiguous ranges aligned to 32-bit
-// words so every worker sees whole symbols.
-func splitWords(size, n int) [][2]int {
+// wordRange returns the i'th of n contiguous ranges partitioning size bytes,
+// aligned to 32-bit words so every worker sees whole symbols; the last range
+// takes the tail bytes.
+func wordRange(size, n, i int) (lo, hi int) {
 	words := size / 4
+	lo = i * words / n * 4
+	hi = (i + 1) * words / n * 4
+	if i == n-1 {
+		hi = size
+	}
+	return lo, hi
+}
+
+// splitWords returns all n ranges of wordRange.
+func splitWords(size, n int) [][2]int {
 	out := make([][2]int, n)
-	prev := 0
-	for i := 0; i < n; i++ {
-		hi := (i + 1) * words / n * 4
-		if i == n-1 {
-			hi = size // last worker takes the tail bytes
-		}
-		out[i] = [2]int{prev, hi}
-		prev = hi
+	for i := range out {
+		out[i][0], out[i][1] = wordRange(size, n, i)
 	}
 	return out
 }

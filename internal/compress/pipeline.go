@@ -5,56 +5,41 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bitio"
 	"repro/internal/stream"
 )
 
-// This file implements the functional pipeline runtime: the decomposed steps
-// of each algorithm run as separately schedulable stages connected by
-// message-passing queues, with data parallelism via batch slicing. It is the
-// executable counterpart of the scheduling graphs — compression output is
-// real and verified against the decoders.
+// This file implements the functional pipeline runtime: the executable
+// counterpart of the scheduling graphs. A batch is cut into word-aligned
+// slices, each slice runs the algorithm's whole stage chain with private
+// state, and the compressed bytes are a pure function of (algorithm, batch,
+// slices) — real output, verified against the decoders.
 //
-// Each algorithm declares its *cut points*: maximal stage groups that can
-// run as independent pipeline stages while preserving the exact output of
-// the fused implementation:
+// Each algorithm declares its *cut points*: maximal stage groups that are
+// separately schedulable while preserving the exact output of the fused
+// implementation:
 //
 //	tcomp32: {s0 read, s1 encode} | {s2 write}
 //	tdic32:  {s0..s3 read/hash/dict/encode} | {s4 write}
 //	lz4:     {s0 read, s1 hash} | {s2 dict, s3 match} | {s4 token write}
 //
-// Two hot-path mechanisms keep the runtime's steady-state allocation at
-// zero (see DESIGN.md "Hot path"):
-//
-//   - every stage intermediate (width arrays, sequence lists, run lists,
-//     code tables) and every segment output buffer comes from a sync.Pool;
-//     the *consuming* stage returns its input intermediate to the pool, and
-//     callers may opt in to recycling segment buffers via
-//     PipelineResult.Release;
-//   - slices travel between stages in *groups* (stream.GroupQueue): the
-//     runtime slabs all per-slice bookkeeping for a batch into three arrays
-//     and hands off ⌈slices/maxWorkers⌉-sized sub-slices per channel
-//     operation, amortizing synchronization without reducing parallelism.
+// Execution is caller-runs and self-scheduled (DESIGN.md "Slice executor"):
+// participants claim the next slice from an atomic cursor and run it to
+// completion. The calling goroutine is always a participant; transient
+// helpers join it only when every participant gets at least helperShare
+// input bytes, so small batches run inline with no hand-off at all. Run
+// state, stage intermediates and segment output buffers are pooled, so a
+// caller that Releases its results allocates nothing in steady state.
 
-// StageSets returns an algorithm's pipeline cut points in order.
+// StageSets returns an algorithm's pipeline cut points in order (nil for an
+// algorithm without pipeline stages). The result is shared: do not modify it.
 func StageSets(alg Algorithm) [][]StepKind {
-	switch alg.Name() {
-	case "tcomp32":
-		return [][]StepKind{{StepRead, StepEncode}, {StepWrite}}
-	case "tdic32":
-		return [][]StepKind{{StepRead, StepPreprocess, StepStateUpdate, StepStateEncode}, {StepWrite}}
-	case "lz4":
-		return [][]StepKind{{StepRead, StepPreprocess}, {StepStateUpdate, StepStateEncode}, {StepWrite}}
-	case "delta32":
-		return [][]StepKind{{StepRead, StepPreprocess, StepStateUpdate, StepStateEncode}, {StepWrite}}
-	case "rle32":
-		return [][]StepKind{{StepRead, StepEncode}, {StepWrite}}
-	case "huff8":
-		return [][]StepKind{{StepRead, StepEncode}, {StepWrite}}
+	if spec := stageSpecs[alg.Name()]; spec != nil {
+		return spec.sets
 	}
 	return nil
 }
@@ -84,6 +69,8 @@ type PipelineResult struct {
 	InputBytes int
 	// TotalBits sums segment bit lengths.
 	TotalBits uint64
+	// run, when non-nil, is the pooled run state this result lives in.
+	run *pipelineRun
 }
 
 // Ratio is the compression ratio achieved (compressed bits / input bits).
@@ -94,11 +81,11 @@ func (r *PipelineResult) Ratio() float64 {
 	return float64(r.TotalBits) / float64(r.InputBytes*8)
 }
 
-// Release returns the segments' pool-owned output buffers for reuse by later
-// pipeline runs. It is opt-in: callers that are done with every
-// Segment.Compressed may call it once; the segments (and any slice aliasing
-// them) are invalid afterwards. Results whose buffers were never pooled are
-// unaffected.
+// Release recycles the result: the segments' pool-owned output buffers and,
+// for results RunPipeline returned, the result itself go back to their pools
+// for later runs. It is opt-in: a caller that is done with the result may
+// call it once, and must not touch the result, its segments, or any slice
+// aliasing them afterwards. Results that were never pooled are unaffected.
 func (r *PipelineResult) Release() {
 	for i := range r.Segments {
 		seg := &r.Segments[i]
@@ -111,14 +98,20 @@ func (r *PipelineResult) Release() {
 		seg.pooled = nil
 		seg.Compressed = nil
 	}
+	if run := r.run; run != nil {
+		r.run = nil
+		runPool.Put(run)
+	}
 }
 
 // sliceWork carries one slice through the stage chain.
 type sliceWork struct {
-	index int
-	orig  []byte
-	// payload is the stage-specific intermediate representation.
+	orig []byte
+	// payload is the stage-specific intermediate representation, a pointer
+	// to a pooled struct.
 	payload any
+	// seg is the finished output, set by the chain's last stage.
+	seg Segment
 }
 
 // stageFunc transforms a slice's intermediate representation in place.
@@ -128,207 +121,173 @@ type stageFunc func(w *sliceWork)
 // pipeline work; internal/trace.Recorder.Record satisfies it.
 type StageObserver func(stage string, slice int, start, end time.Time)
 
-// RunPipeline compresses one batch with the algorithm's pipeline stages,
-// running workers[i] goroutines for stage i and splitting the batch into
-// `slices` word-aligned data-parallel slices. Stateful algorithms keep
-// per-slice private state. The output is bit-exact with CompressBatch run
-// per slice.
+// helperShare is the least input, in bytes, every participant of a run must
+// get before helper goroutines join the caller. Below it a helper's wake-up
+// costs more than the slices it would take (a 4 KiB batch compresses in
+// under 10 µs); at the paper's B=932800 every planned worker clears it.
+const helperShare = 64 << 10
+
+// pipelineRun is the pooled state of one RunPipeline call. The result the
+// caller receives is &run.res, so a released result recycles the whole run.
+type pipelineRun struct {
+	res   PipelineResult
+	works []sliceWork
+
+	spec *stageSpec
+	obs  StageObserver
+	// done is the run's ctx.Done(), read once: participants poll it per
+	// (stage, slice) without taking the context's lock.
+	done <-chan struct{}
+	// cursor is the next unclaimed slice.
+	cursor atomic.Int32
+	// helpers joins the transient helper goroutines; the inline path never
+	// touches it.
+	helpers sync.WaitGroup
+}
+
+var runPool = sync.Pool{New: func() any { return new(pipelineRun) }}
+
+// RunPipeline is RunPipelineContext without cancellation or observation.
 func RunPipeline(alg Algorithm, b *stream.Batch, slices int, workers []int) (*PipelineResult, error) {
-	return runPipeline(context.Background(), alg, b, slices, workers, nil)
+	return RunPipelineContext(context.Background(), alg, b, slices, workers, nil)
 }
 
-// RunPipelineCtx is RunPipeline with cooperative cancellation: when ctx is
-// cancelled the feeder stops emitting slices, in-flight slices drain through
-// the stage chain unprocessed, and ctx.Err() is returned instead of a
-// result. No goroutine outlives the call.
-func RunPipelineCtx(ctx context.Context, alg Algorithm, b *stream.Batch, slices int, workers []int) (*PipelineResult, error) {
-	return runPipeline(ctx, alg, b, slices, workers, nil)
-}
-
-// RunPipelineObserved is RunPipeline with an optional per-stage observer for
-// execution tracing.
-func RunPipelineObserved(alg Algorithm, b *stream.Batch, slices int, workers []int, obs StageObserver) (*PipelineResult, error) {
-	return runPipeline(context.Background(), alg, b, slices, workers, obs)
-}
-
-// RunPipelineObservedCtx combines cooperative cancellation with per-stage
-// observation — the variant the telemetry layer uses to record spans from
-// live runs without giving up ctx-driven shutdown.
-func RunPipelineObservedCtx(ctx context.Context, alg Algorithm, b *stream.Batch, slices int, workers []int, obs StageObserver) (*PipelineResult, error) {
-	return runPipeline(ctx, alg, b, slices, workers, obs)
-}
-
-func runPipeline(ctx context.Context, alg Algorithm, b *stream.Batch, slices int, workers []int, obs StageObserver) (*PipelineResult, error) {
-	stages, err := stageChain(alg)
-	if err != nil {
-		return nil, err
+// RunPipelineContext compresses one batch with the algorithm's pipeline
+// stages, split into `slices` word-aligned data-parallel slices. Stateful
+// algorithms keep per-slice private state, so the output is bit-exact with
+// CompressBatch run per slice whatever the worker counts. workers[i] is the
+// plan's replication of stage i; their sum bounds how many goroutines —
+// the caller included — compress slices side by side (see helperShare). obs,
+// when non-nil, is called once per completed (stage, slice). When ctx is
+// cancelled participants stop at the next stage boundary and ctx.Err() is
+// returned instead of a result. No goroutine outlives the call.
+func RunPipelineContext(ctx context.Context, alg Algorithm, b *stream.Batch, slices int, workers []int, obs StageObserver) (*PipelineResult, error) {
+	spec := stageSpecs[alg.Name()]
+	if spec == nil {
+		return nil, fmt.Errorf("compress: algorithm %q has no pipeline stages", alg.Name())
 	}
-	if len(workers) != len(stages) {
-		return nil, fmt.Errorf("compress: %s has %d stages, got %d worker counts", alg.Name(), len(stages), len(workers))
+	if len(workers) != len(spec.fns) {
+		return nil, fmt.Errorf("compress: %s has %d stages, got %d worker counts", alg.Name(), len(spec.fns), len(workers))
 	}
 	if slices < 1 {
 		slices = 1
 	}
 	data := b.Bytes()
-	ranges := splitWords(len(data), slices)
-	nSlices := len(ranges)
 
-	// Group size: the batched-handoff protocol hands ⌈slices/maxWorkers⌉
-	// slices per channel operation, the largest group that still gives the
-	// widest stage one group per worker (no parallelism is lost; channel
-	// synchronization is amortized over the group).
-	maxWorkers := 1
+	run := runPool.Get().(*pipelineRun)
+	run.spec, run.obs, run.done = spec, obs, ctx.Done()
+	run.cursor.Store(0)
+	if cap(run.works) < slices {
+		run.works = make([]sliceWork, slices)
+		run.res.Segments = make([]Segment, slices)
+	}
+	run.works = run.works[:slices]
+	run.res.Segments = run.res.Segments[:slices]
+	for i := range run.works {
+		lo, hi := wordRange(len(data), slices, i)
+		run.works[i].orig = data[lo:hi]
+	}
+
+	// Width: the plan's worker total, but never more participants than
+	// slices or than helperShare-sized shares of the batch.
+	width := 0
 	for _, n := range workers {
-		if n > maxWorkers {
-			maxWorkers = n
-		}
+		width += max(n, 1)
 	}
-	groupSize := (nSlices + maxWorkers - 1) / maxWorkers
-	if groupSize < 1 {
-		groupSize = 1
+	width = min(width, slices, len(data)/helperShare)
+	for h := 1; h < width; h++ {
+		run.helpers.Add(1)
+		go func() {
+			defer run.helpers.Done()
+			run.drain()
+		}()
 	}
-	nGroups := (nSlices + groupSize - 1) / groupSize
-
-	// Slab-allocate the per-slice bookkeeping: one works array, one message
-	// array, one pointer array, sub-sliced into groups. Three allocations
-	// per batch regardless of slice count.
-	works := make([]sliceWork, nSlices)
-	msgs := make([]stream.Message, nSlices)
-	ptrs := make([]*stream.Message, nSlices)
-	for i, r := range ranges {
-		works[i] = sliceWork{index: i, orig: data[r[0]:r[1]]}
-		msgs[i] = stream.Message{BatchIndex: b.Index, Meta: &works[i]}
-		ptrs[i] = &msgs[i]
+	run.drain()
+	if width > 1 {
+		run.helpers.Wait()
 	}
 
-	// Build the queue chain: source → stage0 → … → sink.
-	queues := make([]*stream.GroupQueue, len(stages)+1)
-	for i := range queues {
-		queues[i] = stream.NewGroupQueue(nGroups)
+	run.obs, run.done = nil, nil
+	res := &run.res
+	res.InputBytes, res.TotalBits = len(data), 0
+	for i := range run.works {
+		w := &run.works[i]
+		res.Segments[i] = w.seg
+		res.TotalBits += w.seg.BitLen
+		*w = sliceWork{}
 	}
-	var wgs []*sync.WaitGroup
-	for si, fn := range stages {
-		wg := &sync.WaitGroup{}
-		wgs = append(wgs, wg)
-		n := workers[si]
-		if n < 1 {
-			n = 1
-		}
-		in, out := queues[si], queues[si+1]
-		stageName := fmt.Sprintf("stage%d", si)
-		if sets := StageSets(alg); si < len(sets) && len(sets[si]) > 0 {
-			names := make([]string, len(sets[si]))
-			for i, step := range sets[si] {
-				names[i] = step.String()
-			}
-			stageName = names[0]
-			if len(names) > 1 {
-				stageName += "+" + names[len(names)-1]
-			}
-		}
-		for w := 0; w < n; w++ {
-			wg.Add(1)
-			go func(fn stageFunc, stageName string) {
-				defer wg.Done()
-				for {
-					g, ok := in.Recv()
-					if !ok {
-						return
-					}
-					for _, m := range g {
-						// After cancellation, forward the slice unprocessed
-						// so the chain keeps draining; cancellation is
-						// monotonic, so every downstream stage skips it too
-						// and the collector discards the batch.
-						if ctx.Err() != nil {
-							continue
-						}
-						sw := m.Meta.(*sliceWork)
-						if obs != nil {
-							start := time.Now()
-							fn(sw)
-							obs(stageName, sw.index, start, time.Now())
-						} else {
-							fn(sw)
-						}
-					}
-					out.Send(g)
-				}
-			}(fn, stageName)
-		}
-	}
-	// Close each queue after its producers finish.
-	for si := range stages {
-		go func(si int) {
-			wgs[si].Wait()
-			queues[si+1].Close()
-		}(si)
-	}
-
-	// Feed slice groups, stopping early on cancellation.
-	go func() {
-		for lo := 0; lo < nSlices; lo += groupSize {
-			if ctx.Err() != nil {
-				break
-			}
-			hi := lo + groupSize
-			if hi > nSlices {
-				hi = nSlices
-			}
-			queues[0].Send(ptrs[lo:hi])
-		}
-		queues[0].Close()
-	}()
-
-	// Collect. Slices cancelled mid-chain arrive with an intermediate
-	// payload instead of a Segment; discard them (the whole batch is
-	// discarded below anyway).
-	res := &PipelineResult{InputBytes: len(data)}
-	for {
-		g, ok := queues[len(queues)-1].Recv()
-		if !ok {
-			break
-		}
-		for _, m := range g {
-			sw := m.Meta.(*sliceWork)
-			seg, done := sw.payload.(Segment)
-			if !done {
-				continue
-			}
-			seg.SliceIndex = sw.index
-			seg.OrigLen = len(sw.orig)
-			res.Segments = append(res.Segments, seg)
-		}
-	}
+	res.run = run
 	if err := ctx.Err(); err != nil {
+		// Slices that finished before the cancellation hold pooled buffers.
+		res.Release()
 		return nil, err
-	}
-	sort.Slice(res.Segments, func(i, j int) bool {
-		return res.Segments[i].SliceIndex < res.Segments[j].SliceIndex
-	})
-	for _, s := range res.Segments {
-		res.TotalBits += s.BitLen
 	}
 	return res, nil
 }
 
-// stageChain returns the runnable stage functions for an algorithm.
-func stageChain(alg Algorithm) ([]stageFunc, error) {
-	switch alg.Name() {
-	case "tcomp32":
-		return []stageFunc{tcomp32StageEncode, tcomp32StageWrite}, nil
-	case "tdic32":
-		return []stageFunc{tdic32StageFront, tdic32StageWrite}, nil
-	case "lz4":
-		return []stageFunc{lz4StageReadHash, lz4StageMatch, lz4StageWrite}, nil
-	case "delta32":
-		return []stageFunc{delta32StageFront, delta32StageWrite}, nil
-	case "rle32":
-		return []stageFunc{rle32StageScan, rle32StageWrite}, nil
-	case "huff8":
-		return []stageFunc{huff8StageBuild, huff8StageWrite}, nil
+// drain claims slices off the run's cursor and runs each through the whole
+// stage chain, until the cursor is exhausted or the run is cancelled.
+func (r *pipelineRun) drain() {
+	for {
+		i := int(r.cursor.Add(1)) - 1
+		if i >= len(r.works) {
+			return
+		}
+		w := &r.works[i]
+		for si, fn := range r.spec.fns {
+			select {
+			case <-r.done:
+				return
+			default:
+			}
+			if r.obs != nil {
+				start := time.Now()
+				fn(w)
+				r.obs(r.spec.names[si], i, start, time.Now())
+			} else {
+				fn(w)
+			}
+		}
+		w.seg.SliceIndex = i
+		w.seg.OrigLen = len(w.orig)
 	}
-	return nil, fmt.Errorf("compress: algorithm %q has no pipeline stages", alg.Name())
+}
+
+// stageSpec is an algorithm's pipeline: its cut points, the runnable stage
+// function of each, and each stage's observer-facing name (the first and
+// last step of its cut point).
+type stageSpec struct {
+	sets  [][]StepKind
+	fns   []stageFunc
+	names []string
+}
+
+func newSpec(sets [][]StepKind, fns ...stageFunc) *stageSpec {
+	spec := &stageSpec{sets: sets, fns: fns}
+	for _, set := range sets {
+		name := set[0].String()
+		if len(set) > 1 {
+			name += "+" + set[len(set)-1].String()
+		}
+		spec.names = append(spec.names, name)
+	}
+	return spec
+}
+
+// stageSpecs maps algorithm names to their pipelines.
+var stageSpecs = map[string]*stageSpec{
+	"tcomp32": newSpec([][]StepKind{{StepRead, StepEncode}, {StepWrite}},
+		tcomp32StageEncode, tcomp32StageWrite),
+	"tdic32": newSpec([][]StepKind{{StepRead, StepPreprocess, StepStateUpdate, StepStateEncode}, {StepWrite}},
+		tdic32StageFront, tdic32StageWrite),
+	"lz4": newSpec([][]StepKind{{StepRead, StepPreprocess}, {StepStateUpdate, StepStateEncode}, {StepWrite}},
+		lz4StageReadHash, lz4StageMatch, lz4StageWrite),
+	"delta32": newSpec([][]StepKind{{StepRead, StepPreprocess, StepStateUpdate, StepStateEncode}, {StepWrite}},
+		delta32StageFront, delta32StageWrite),
+	"rle32": newSpec([][]StepKind{{StepRead, StepEncode}, {StepWrite}},
+		rle32StageScan, rle32StageWrite),
+	"huff8": newSpec([][]StepKind{{StepRead, StepEncode}, {StepWrite}},
+		huff8StageBuild, huff8StageWrite),
 }
 
 // --- intermediate and output pools ---
@@ -423,7 +382,8 @@ func tcomp32StageWrite(w *sliceWork) {
 	}
 	im.tail = nil
 	tcPool.Put(im)
-	w.payload = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
+	w.payload = nil
+	w.seg = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
 }
 
 // --- tdic32 stages ---
@@ -472,7 +432,8 @@ func tdic32StageWrite(w *sliceWork) {
 	}
 	im.tail = nil
 	tdPool.Put(im)
-	w.payload = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
+	w.payload = nil
+	w.seg = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
 }
 
 // --- lz4 stages ---
@@ -555,7 +516,8 @@ func lz4StageWrite(w *sliceWork) {
 	}
 	sb.b = dst
 	lzSeqPool.Put(seqs)
-	w.payload = Segment{Compressed: dst, BitLen: uint64(len(dst)) * 8, pooled: sb}
+	w.payload = nil
+	w.seg = Segment{Compressed: dst, BitLen: uint64(len(dst)) * 8, pooled: sb}
 }
 
 // DecodeSegments reverses a PipelineResult for the given algorithm,
@@ -612,7 +574,7 @@ func delta32StageFront(w *sliceWork) {
 		im.deltas[i] = z
 		width := uint8(1)
 		if z != 0 {
-			width = uint8(len32(z))
+			width = uint8(bits.Len32(z))
 		}
 		im.widths[i] = width
 	}
@@ -633,17 +595,8 @@ func delta32StageWrite(w *sliceWork) {
 	}
 	im.tail = nil
 	dlPool.Put(im)
-	w.payload = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
-}
-
-// len32 is bits.Len32 without importing math/bits twice in this file.
-func len32(v uint32) int {
-	n := 0
-	for v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
+	w.payload = nil
+	w.seg = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
 }
 
 // --- rle32 stages ---
@@ -692,7 +645,8 @@ func rle32StageWrite(w *sliceWork) {
 	}
 	im.tail = nil
 	rlePool.Put(im)
-	w.payload = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
+	w.payload = nil
+	w.seg = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
 }
 
 // --- huff8 stages ---
@@ -727,5 +681,6 @@ func huff8StageWrite(w *sliceWork) {
 		bw.WriteBits(uint64(rev), l)
 	}
 	h8Pool.Put(im)
-	w.payload = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
+	w.payload = nil
+	w.seg = Segment{Compressed: bw.Bytes(), BitLen: bw.BitLen(), pooled: sw}
 }

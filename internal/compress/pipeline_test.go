@@ -139,6 +139,62 @@ func TestPipelineSlicedEqualsPerSliceFused(t *testing.T) {
 	}
 }
 
+// TestPipelineShapesMatchPerSliceFused sweeps the executor's shape space —
+// empty and sub-word batches, fewer words than slices, the inline side of
+// helperShare and the helper side — and pins the contract that output bytes
+// are a function of (algorithm, batch, slices) only: every segment equals
+// CompressBatch on its slice with fresh state, whatever the worker vector,
+// and the segments decode back to the batch.
+func TestPipelineShapesMatchPerSliceFused(t *testing.T) {
+	sizes := []int{0, 1, 3, 4, 5, 20, 4096, 4*helperShare + 3}
+	for _, alg := range append(All(), Extensions()...) {
+		stages := len(StageSets(alg))
+		vectors := [][]int{make([]int, stages), make([]int, stages), make([]int, stages)}
+		for i := 0; i < stages; i++ {
+			vectors[1][i] = 2
+			vectors[2][i] = 1
+		}
+		vectors[2][0] = 5
+		for _, size := range sizes {
+			b := allocBatch(size)
+			for _, slices := range []int{1, 2, 12} {
+				want := make([]*Result, slices)
+				for i := range want {
+					lo, hi := wordRange(size, slices, i)
+					want[i] = alg.NewSession().CompressBatch(b.Slice(lo, hi))
+				}
+				for _, workers := range vectors {
+					res, err := RunPipeline(alg, b, slices, workers)
+					if err != nil {
+						t.Fatalf("%s size=%d slices=%d workers=%v: %v", alg.Name(), size, slices, workers, err)
+					}
+					if len(res.Segments) != slices || res.InputBytes != size {
+						t.Fatalf("%s size=%d slices=%d workers=%v: %d segments over %d bytes",
+							alg.Name(), size, slices, workers, len(res.Segments), res.InputBytes)
+					}
+					var total uint64
+					for i, seg := range res.Segments {
+						total += seg.BitLen
+						if seg.SliceIndex != i || seg.OrigLen != want[i].InputBytes ||
+							seg.BitLen != want[i].BitLen || !bytes.Equal(seg.Compressed, want[i].Compressed) {
+							t.Fatalf("%s size=%d slices=%d workers=%v: segment %d differs from CompressBatch on its slice",
+								alg.Name(), size, slices, workers, i)
+						}
+					}
+					if res.TotalBits != total {
+						t.Fatalf("%s size=%d slices=%d: TotalBits = %d, segments sum to %d", alg.Name(), size, slices, res.TotalBits, total)
+					}
+					got, err := DecodeSegments(alg.Name(), res)
+					if err != nil || !bytes.Equal(got, b.Bytes()) {
+						t.Fatalf("%s size=%d slices=%d workers=%v: round trip failed: %v", alg.Name(), size, slices, workers, err)
+					}
+					res.Release()
+				}
+			}
+		}
+	}
+}
+
 func TestDecodeSegmentsUnknownAlgorithm(t *testing.T) {
 	if _, err := DecodeSegments("nope", &PipelineResult{Segments: []Segment{{}}}); err == nil {
 		t.Fatal("expected error")

@@ -71,6 +71,9 @@ type Deployment struct {
 	Slices int
 	// Executor runs the deployment on the simulated platform.
 	Executor *costmodel.Executor
+
+	// workers is StageWorkers' per-stage mapping, fixed at deploy.
+	workers []int
 }
 
 // Planner plans workloads on one platform with one fitted cost model.
@@ -355,6 +358,7 @@ func (pl *Planner) DeployProfile(w Workload, prof *Profile, mech string) (*Deplo
 		Feasible:     res.Feasible,
 		Slices:       canonicalSlices(len(pl.Machine.Cores()), w.BatchBytes),
 		Executor:     pl.executorFor(pol, w),
+		workers:      stageWorkers(w.Algorithm, res.Tasks),
 	}
 	pl.recordDeploy(telemetry.KindDeploy, d, tally, -1)
 	return d, nil

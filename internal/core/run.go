@@ -8,43 +8,36 @@ import (
 	"repro/internal/stream"
 )
 
-// StageWorkers maps the deployment's logical tasks onto the algorithm's
-// runnable pipeline stages, returning a worker count per stage (the
-// replication decision) and the data-parallel slice count. The slice count is
-// the deployment's canonical plan-invariant width — compressed output is a
-// pure function of (algorithm, batch, platform), so replans, cache hits and
-// near-miss repairs can reshape worker pools freely without ever changing the
-// bytes a stream observes.
-func (d *Deployment) StageWorkers(alg compress.Algorithm) (workers []int, slices int) {
+// StageWorkers returns the deployment's worker count per runnable pipeline
+// stage (the replication decision) and the data-parallel slice count, both
+// fixed at deploy for the deployed workload's algorithm — the argument is
+// not consulted. The slice count is the canonical plan-invariant width:
+// compressed output is a pure function of (algorithm, batch, platform), so
+// replans, cache hits and near-miss repairs can reshape worker pools freely
+// without ever changing the bytes a stream observes. The workers slice is
+// shared: do not modify it.
+func (d *Deployment) StageWorkers(compress.Algorithm) (workers []int, slices int) {
+	return d.workers, d.Slices
+}
+
+// stageWorkers maps logical tasks onto the algorithm's runnable pipeline
+// stages: a stage runs with the replication of the task holding its first
+// step.
+func stageWorkers(alg compress.Algorithm, tasks []LogicalTask) []int {
 	stageSets := compress.StageSets(alg)
-	//lint:allow hotpathalloc runs once per deployment, not per batch
-	workers = make([]int, len(stageSets))
-	maxW := 1
+	workers := make([]int, len(stageSets))
 	for si, set := range stageSets {
-		first := set[0]
 		w := 1
-		for _, lt := range d.Tasks {
+		for _, lt := range tasks {
 			for _, s := range lt.Steps {
-				if s == first {
+				if s == set[0] {
 					w = lt.Replicas
 				}
 			}
 		}
-		if w < 1 {
-			w = 1
-		}
-		workers[si] = w
-		if w > maxW {
-			maxW = w
-		}
+		workers[si] = max(w, 1)
 	}
-	slices = d.Slices
-	if slices < 1 {
-		// Hand-built deployments without a canonical width fall back to the
-		// widest stage, the historical plan-coupled behaviour.
-		slices = maxW
-	}
-	return workers, slices
+	return workers
 }
 
 // canonicalSlices fixes a deployment's data-parallel width from the platform
@@ -63,9 +56,9 @@ func canonicalSlices(cores, batchBytes int) int {
 }
 
 // RunBatch functionally compresses batch index of the workload through the
-// deployment's pipeline: the decomposed stages run as communicating
-// goroutine pools, with data parallelism matching the replication decision.
-// The compressed output is real and independently decodable per slice.
+// deployment's pipeline: the batch's slices run the decomposed stages with
+// data parallelism bounded by the replication decision. The compressed
+// output is real and independently decodable per slice.
 func (d *Deployment) RunBatch(w Workload, index int) (*compress.PipelineResult, error) {
 	return d.RunBatchCtx(context.Background(), w, index)
 }
@@ -91,7 +84,7 @@ func (d *Deployment) RunBatchObserved(ctx context.Context, w Workload, index int
 // planned pipeline — the source-agnostic execution path shared by the
 // dataset-bound entry points above, the facade's Session.Push, and the serve
 // layer's per-session stream handles. The batch's bytes need not come from
-// the profiled dataset; the plan only fixes stage worker pools, never the
+// the profiled dataset; the plan only fixes the parallel width, never the
 // output bytes.
 func (d *Deployment) RunBatchData(ctx context.Context, alg compress.Algorithm, b *stream.Batch, obs compress.StageObserver) (*compress.PipelineResult, error) {
 	workers, slices := d.StageWorkers(alg)
@@ -100,5 +93,5 @@ func (d *Deployment) RunBatchData(ctx context.Context, alg compress.Algorithm, b
 	if w := b.Size() / 4; w >= 1 && w < slices {
 		slices = w
 	}
-	return compress.RunPipelineObservedCtx(ctx, alg, b, slices, workers, obs)
+	return compress.RunPipelineContext(ctx, alg, b, slices, workers, obs)
 }

@@ -288,6 +288,7 @@ type session struct {
 	alg    string
 	shard  *shard
 	handle *core.StreamHandle
+	ts     *tenantStats
 	pushes int
 
 	// jobs feeds the session's worker in push order. Its capacity matches
@@ -378,11 +379,13 @@ func (cw *connWriter) writeResult(session uint32, res *compress.PipelineResult, 
 	return nil
 }
 
-// tenantStats aggregates a tenant's admission and CLC accounting.
+// tenantStats aggregates a tenant's admission and CLC accounting. active is
+// guarded by Server.mu; the batch path bumps the counters through the
+// session's pointer without it.
 type tenantStats struct {
 	active     int
-	batches    int64
-	violations int64
+	batches    atomic.Int64
+	violations atomic.Int64
 }
 
 // Server is the multi-tenant ingest front-end: a TCP listener speaking the
@@ -857,6 +860,7 @@ func (s *Server) openSession(id uint32, req OpenRequest) (*session, OpenReply, s
 			alg:    req.Algorithm,
 			shard:  sh,
 			handle: handle,
+			ts:     ts,
 			jobs:   make(chan dataJob, s.cfg.MaxInflight),
 			// Resolve the per-tenant/per-class handles now; the batch path
 			// only touches these pointers.
@@ -920,20 +924,17 @@ func (s *Server) runBatch(ctx context.Context, sess *session, data []byte) (*com
 	s.sm.bytesIn.Add(int64(len(data)))
 	s.sm.bytesOut.Add(int64(compressedBytes))
 	sess.ctrBatches.Add(1)
-	s.mu.Lock()
-	ts := s.tenants[sess.tenant]
-	ts.batches++
+	// Batches first, so a concurrent reader never sees more violations than
+	// batches.
+	batches := sess.ts.batches.Add(1)
+	violations := sess.ts.violations.Load()
 	if m.Violated {
-		ts.violations++
-	}
-	clcv := float64(ts.violations) / float64(ts.batches)
-	s.mu.Unlock()
-	if m.Violated {
+		violations = sess.ts.violations.Add(1)
 		s.sm.clcViolations.Add(1)
 		sess.ctrSLO.Add(1)
 		sess.ctrViolations.Add(1)
 	}
-	sess.gCLCV.Set(clcv)
+	sess.gCLCV.Set(float64(violations) / float64(batches))
 	return res, Measure{
 		LatencyPerByte: m.LatencyPerByte,
 		EnergyPerByte:  m.EnergyPerByte,
@@ -947,8 +948,8 @@ func (s *Server) runBatch(ctx context.Context, sess *session, data []byte) (*com
 func (s *Server) endSession(sess *session) {
 	sess.handle.Detach()
 	s.mu.Lock()
-	if ts := s.tenants[sess.tenant]; ts != nil && ts.active > 0 {
-		ts.active--
+	if sess.ts.active > 0 {
+		sess.ts.active--
 	}
 	if s.active > 0 {
 		s.active--
@@ -1017,9 +1018,11 @@ func (s *Server) StatusSnapshot() Status {
 	s.mu.Lock()
 	st := Status{Accepted: s.accepted, Shed: s.shed, Active: s.active, Peak: s.peak}
 	for name, ts := range s.tenants {
-		row := TenantStatus{Tenant: name, Active: ts.active, Batches: ts.batches, Violations: ts.violations}
-		if ts.batches > 0 {
-			row.CLCV = float64(ts.violations) / float64(ts.batches)
+		// Violations first: the batch path counts the batch before its
+		// violation, so this order keeps Violations ≤ Batches.
+		row := TenantStatus{Tenant: name, Active: ts.active, Violations: ts.violations.Load()}
+		if row.Batches = ts.batches.Load(); row.Batches > 0 {
+			row.CLCV = float64(row.Violations) / float64(row.Batches)
 		}
 		st.Tenants = append(st.Tenants, row)
 	}

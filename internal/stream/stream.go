@@ -142,41 +142,6 @@ func (q *Queue) Close() { close(q.ch) }
 // Len reports the number of buffered messages.
 func (q *Queue) Len() int { return len(q.ch) }
 
-// GroupQueue is a bounded FIFO carrying *groups* of messages between
-// pipeline tasks. Handing off a batch of slices per channel operation
-// amortizes the send/receive synchronization over the whole group — the
-// per-message channel cost dominated fine-grained pipelines — while keeping
-// the message-passing model intact. A group is an immutable []*Message view;
-// ownership of the group passes to the receiver.
-type GroupQueue struct {
-	ch chan []*Message
-}
-
-// NewGroupQueue creates a group queue with the given buffer capacity (≥1).
-func NewGroupQueue(capacity int) *GroupQueue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &GroupQueue{ch: make(chan []*Message, capacity)}
-}
-
-// Send enqueues a group, blocking while the queue is full. Sending on a
-// closed queue panics, as with channels.
-func (q *GroupQueue) Send(g []*Message) { q.ch <- g }
-
-// Recv dequeues the next group, blocking while empty. ok is false once the
-// queue is closed and drained.
-func (q *GroupQueue) Recv() (g []*Message, ok bool) {
-	g, ok = <-q.ch
-	return g, ok
-}
-
-// Close marks the producer side finished.
-func (q *GroupQueue) Close() { close(q.ch) }
-
-// Len reports the number of buffered groups.
-func (q *GroupQueue) Len() int { return len(q.ch) }
-
 // Batcher groups tuples arriving on a channel into batches of at least
 // batchBytes payload bytes — the "data stream is a list of tuples
 // chronologically arriving" front end of a stream compression procedure

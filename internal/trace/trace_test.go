@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -135,7 +136,7 @@ func TestPipelineEmitsSpans(t *testing.T) {
 	var r Recorder
 	alg := compress.NewTcomp32()
 	b := dataset.NewRovio(1).Batch(0, 32*1024)
-	res, err := compress.RunPipelineObserved(alg, b, 3, []int{2, 2}, r.Record)
+	res, err := compress.RunPipelineContext(context.Background(), alg, b, 3, []int{2, 2}, r.Record)
 	if err != nil {
 		t.Fatal(err)
 	}

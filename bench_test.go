@@ -367,57 +367,24 @@ func BenchmarkSearchIncremental(b *testing.B) {
 	}
 }
 
-// --- parallel plan search and plan cache (public-API-era additions) ---
+// --- plan search and plan cache (public-API-era additions) ---
 
-// parallelSearchGraph is a wider task graph than ablationGraph: enough tasks
-// that the placement space exercises the frontier fan-out of the parallel
-// search rather than finishing in the sequential prologue.
-func parallelSearchGraph() *costmodel.Graph {
-	g := &costmodel.Graph{BatchBytes: core.DefaultBatchBytes}
-	instr := []float64{150, 150, 130, 120, 110, 90, 80, 60, 50, 40}
-	kappa := []float64{320, 300, 250, 210, 180, 140, 102, 80, 60, 25}
-	for i := range instr {
-		g.Tasks = append(g.Tasks, costmodel.Task{
-			ID: i, Name: "t" + string(rune('a'+i)),
-			InstrPerByte: instr[i], Kappa: kappa[i], Replicas: 1,
-		})
-		if i > 0 {
-			g.Edges = append(g.Edges, costmodel.Edge{
-				From: i - 1, To: i, BytesPerStreamByte: 1 - float64(i)*0.05,
-			})
-		}
-	}
-	return g
-}
-
-// BenchmarkSerialPlanSearch is the baseline for BenchmarkParallelPlanSearch:
-// the same branch-and-bound enumeration on one goroutine.
+// BenchmarkSerialPlanSearch times the planner's full search, sched.Search
+// (what core.Planner.searchPlan runs), on the task graph of a CStream
+// deployment of the paper's headline workload.
 func BenchmarkSerialPlanSearch(b *testing.B) {
 	r := runner(b)
-	g := parallelSearchGraph()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sched.Search(r.Planner().Model, g, 26)
-		if len(res.Plan) != len(g.Tasks) {
-			b.Fatal("search failed")
-		}
+	w := core.NewWorkload(compress.NewTcomp32(), dataset.NewRovio(1))
+	w.BatchBytes = 64 * 1024
+	dep, err := r.Planner().DeployProfile(w, core.ProfileWorkload(w, 2, 0), core.MechCStream)
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-// BenchmarkParallelPlanSearch fans the same enumeration across a pool of
-// one worker per core of the rk3399's six-core placement space; the result
-// is byte-identical to the serial search. The speedup exceeds the core
-// count alone: concurrently explored subtrees lower the shared incumbent
-// bound early, pruning regions the serial order would still be enumerating.
-func BenchmarkParallelPlanSearch(b *testing.B) {
-	r := runner(b)
-	g := parallelSearchGraph()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := sched.SearchParallelWorkers(r.Planner().Model, g, 26, 6)
-		if len(res.Plan) != len(g.Tasks) {
+		res := sched.Search(r.Planner().Model, dep.Graph, w.LSet)
+		if len(res.Plan) != len(dep.Graph.Tasks) {
 			b.Fatal("search failed")
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
@@ -24,16 +23,15 @@ import (
 
 func main() {
 	var (
-		list       = flag.Bool("list", false, "list available experiment ids and exit")
-		listPol    = flag.Bool("list-policies", false, "list the registered scheduling policies and exit")
-		run        = flag.String("run", "", "experiment id to run, or 'all'")
-		fast       = flag.Bool("fast", false, "use reduced sweep grids and repetitions")
-		seed       = flag.Int64("seed", 1, "random seed for datasets, noise and random placement")
-		reps       = flag.Int("reps", 0, "override CLCV repetition count (default 100, 25 with -fast)")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned text")
-		telDir     = flag.String("telemetry", "", "directory to write metrics.json and decisions.jsonl into (empty = telemetry off)")
-		cacheFile  = flag.String("plan-cache-file", "", "warm-start the plan cache from this file and persist it back on exit")
-		planRepair = flag.Bool("plan-repair", false, "enable near-miss plan repair on the shared planner")
+		list      = flag.Bool("list", false, "list available experiment ids and exit")
+		listPol   = flag.Bool("list-policies", false, "list the registered scheduling policies and exit")
+		run       = flag.String("run", "", "experiment id to run, or 'all'")
+		fast      = flag.Bool("fast", false, "use reduced sweep grids and repetitions")
+		seed      = flag.Int64("seed", 1, "random seed for datasets, noise and random placement")
+		reps      = flag.Int("reps", 0, "override CLCV repetition count (default 100, 25 with -fast)")
+		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		telDir    = flag.String("telemetry", "", "directory to write metrics.json and decisions.jsonl into (empty = telemetry off)")
+		cacheFile = flag.String("plan-cache-file", "", "warm-start the plan cache from this file and persist it back on exit")
 	)
 	flag.Parse()
 
@@ -67,9 +65,6 @@ func main() {
 		cfg.Telemetry = sink
 	}
 	cfg.PlanCacheFile = *cacheFile
-	if *planRepair {
-		cfg.PlanRepair = core.RepairConfig{Enabled: true}
-	}
 
 	runner, err := exp.NewRunner(cfg)
 	if err != nil {

@@ -44,7 +44,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/segstore"
 	"repro/internal/serve"
 )
@@ -63,7 +62,6 @@ func main() {
 		maxInfl    = flag.Int("max-inflight", 0, "per-connection cap on dispatched-but-unanswered Data frames (0 = server default; 1 reproduces the strict serial read loop)")
 
 		planCacheFile = flag.String("plan-cache-file", "", "persist each shard's plan cache to <path>.shard<i> on shutdown and warm-start from it (empty disables)")
-		planRepair    = flag.Bool("plan-repair", false, "enable the near-miss plan-repair tier: drifted session shapes adapt the nearest cached plan with bounded local moves instead of a full search")
 
 		segmentDir     = flag.String("segment-dir", "", "durable segment sink root: persist every served batch under <dir>/<tenant>/<algorithm>/ (empty disables)")
 		segmentBatches = flag.Int("segment-batches", 0, "seal a segment after this many batches (0 = rotate on the 64 MiB byte budget only)")
@@ -106,7 +104,6 @@ func main() {
 		SegmentRotate:       segstore.RotatePolicy{MaxSegmentBatches: *segmentBatches},
 		SegmentSyncEvery:    *segmentSync,
 		PlanCacheFile:       *planCacheFile,
-		PlanRepair:          core.RepairConfig{Enabled: *planRepair},
 		MaxInflight:         *maxInfl,
 	}
 
@@ -414,8 +411,8 @@ func runLoadgen(cfg serve.Config, lg loadgenConfig) int {
 	fmt.Printf("loadgen: pushed %d batches (%.1f MiB raw) in %v (%.1f MiB/s); decode mismatches %d, push errors %d\n",
 		totalBatches, mb, pushDur.Round(time.Millisecond), mb/pushDur.Seconds(), mismatches, pushErrs)
 	for _, sh := range st.Shards {
-		fmt.Printf("loadgen: shard %d planned %d deployment shapes, peak core load %.4g µs/B; plan cache hits %d misses %d near-misses %d\n",
-			sh.Index, sh.Deployments, sh.PeakCoreLoad, sh.PlanCache.Hits, sh.PlanCache.Misses, sh.PlanCache.NearMisses)
+		fmt.Printf("loadgen: shard %d planned %d deployment shapes, peak core load %.4g µs/B; plan cache hits %d misses %d\n",
+			sh.Index, sh.Deployments, sh.PeakCoreLoad, sh.PlanCache.Hits, sh.PlanCache.Misses)
 	}
 
 	// Smoke assertions.

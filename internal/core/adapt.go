@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/amp"
+	"repro/internal/compress"
 	"repro/internal/costmodel"
 	"repro/internal/fmath"
 	"repro/internal/pid"
@@ -85,6 +86,22 @@ func NewAdaptive(pl *Planner, w Workload, regulate bool) (*Adaptive, error) {
 // Deployment exposes the current plan (it changes after replanning).
 func (a *Adaptive) Deployment() *Deployment { return a.dep }
 
+// rebuildTasks re-derives a deployment's decomposition statistics from a
+// batch's profile, preserving its step grouping and replica counts, so the
+// adaptation loops' executors run against the batch's true costs.
+func rebuildTasks(prof *Profile, cached []LogicalTask) []LogicalTask {
+	tasks := make([]LogicalTask, len(cached))
+	for i, lt := range cached {
+		nt := makeTask(prof, [][]compress.StepKind{lt.Steps})
+		nt.Replicas = lt.Replicas
+		tasks[i] = nt
+	}
+	for i := 1; i < len(tasks); i++ {
+		tasks[i].InPerByte = tasks[i-1].OutPerByte
+	}
+	return tasks
+}
+
 // trueGraph rebuilds the deployment's task graph with the *actual* costs of
 // one concrete batch, preserving the decomposition structure and replica
 // counts, so the executor runs against ground truth even after the workload
@@ -136,11 +153,10 @@ func (a *Adaptive) ProcessBatch(index int) BatchReport {
 		a.pl.Model.SetCalibration(a.calibrator.Est, 1)
 		if converged {
 			a.calibrating = false
-			// Replan with the calibrated model through the plan-lifecycle
-			// ladder: a regime already planned at this calibration is served
-			// from the cache (exactly or, with repair enabled, via a
-			// near-miss), otherwise migrate incrementally from the previous
-			// plan (few task moves; new replicas place freely).
+			// Replan with the calibrated model through resolvePlan: a regime
+			// already planned at this calibration is served from the cache,
+			// otherwise migrate incrementally from the previous plan (few
+			// task moves; new replicas place freely).
 			tally := &searchTally{}
 			prev := a.dep.Plan
 			prevTasks := a.dep.Tasks

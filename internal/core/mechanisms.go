@@ -66,8 +66,8 @@ type Deployment struct {
 	Feasible bool
 	// Slices is the canonical plan-invariant data-parallel width of the
 	// functional pipeline (see canonicalSlices); it never changes across
-	// replans, so a stream's compressed bytes are independent of which
-	// plan-lifecycle tier served its plan.
+	// replans, so a stream's compressed bytes are independent of which plan
+	// it runs under.
 	Slices int
 	// Executor runs the deployment on the simulated platform.
 	Executor *costmodel.Executor
@@ -89,17 +89,11 @@ type Planner struct {
 	// keeps every instrumentation site a single pointer comparison.
 	Telemetry *telemetry.Sink
 
-	// Repair tunes the near-miss repair tier of the plan-lifecycle ladder
-	// (resolvePlan); the zero value disables it, keeping plan acquisition
-	// byte-identical to the exact-hit-or-search lifecycle.
-	Repair RepairConfig
-
 	// ablated holds the comm-symmetric model for the +asy-comp. factor,
 	// built lazily together with its machine view.
 	ablatedModel *costmodel.Model
 	// cache, when enabled, short-circuits plan search for workloads whose
-	// quantized statistics match a previously planned regime — exactly, or
-	// via the near-miss repair tier when Repair is enabled.
+	// quantized statistics match a previously planned regime exactly.
 	cache *plancache.PlanCache
 	// searches counts plan-search invocations (cache-effectiveness metric).
 	searches atomic.Int64

@@ -13,8 +13,8 @@ import (
 
 // Multi-stream runtime: an IoT gateway rarely serves one sensor. The
 // MultiStreamRuntime schedules N concurrent compression streams over one
-// planner and one simulated board, so the plan cache and the parallel search
-// are exercised under contention, and reports how shared core capacity
+// planner and one simulated board, so the plan cache and the plan search are
+// exercised under contention, and reports how shared core capacity
 // stretched each stream's latency.
 //
 // Two entry points share it: RunMultiStream drives a fixed batch count per

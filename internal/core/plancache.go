@@ -11,9 +11,16 @@ import (
 	"repro/internal/sched"
 )
 
+// Plan-mode labels for the decision log: how resolvePlan acquired a
+// deployment's plan.
+const (
+	planModeCache = "cache"
+	planModeFull  = "full"
+)
+
 // EnablePlanCache attaches a plan cache of the given capacity to the
 // planner. Every plan acquisition (Deploy and the adaptation loops) then
-// runs the plan-lifecycle ladder of resolvePlan against it.
+// goes through resolvePlan against it.
 func (pl *Planner) EnablePlanCache(capacity int) {
 	pl.cache = plancache.NewPlanCache(capacity)
 }
@@ -47,17 +54,17 @@ func (pl *Planner) LoadPlanCache(path string) (int, error) {
 	return pl.cache.LoadFile(path)
 }
 
-// SearchCount returns the number of plan-search invocations (full parallel
-// searches plus incremental replans) this planner has performed.
+// SearchCount returns the number of plan-search invocations (full searches
+// plus incremental replans) this planner has performed.
 func (pl *Planner) SearchCount() int64 { return pl.searches.Load() }
 
 // searchPlan is the planner's single entry to the full plan search: it
-// counts the invocation, charges the per-decision tally, and fans the DFS
-// across the worker pool.
+// counts the invocation, charges the per-decision tally, and runs the
+// serial DFS.
 func (pl *Planner) searchPlan(t *searchTally, mod *costmodel.Model, g *costmodel.Graph, lset float64) sched.Result {
 	pl.searches.Add(1)
 	return pl.timedSearch(t, func() sched.Result {
-		return sched.SearchParallel(mod, g, lset)
+		return sched.Search(mod, g, lset)
 	})
 }
 
@@ -90,21 +97,6 @@ func platformHash(m *amp.Machine) uint64 {
 	return h.Sum64()
 }
 
-// planSig is the raw quantized workload-signature vector behind the cache
-// key's Signature hash: per profiled step its kind and quantized statistics,
-// then the quantized batch size. The near-miss tier measures drift distance
-// over this vector; the hash only supports exact lookup.
-func planSig(w Workload, prof *Profile) plancache.SigVec {
-	sig := make(plancache.SigVec, 0, 4*len(prof.Steps)+1)
-	for _, sp := range prof.Steps {
-		sig = append(sig, int32(sp.Kind),
-			plancache.QuantizeLog(sp.InstrPerByte),
-			plancache.QuantizeLog(sp.Kappa),
-			plancache.QuantizeLog(sp.OutPerByte))
-	}
-	return append(sig, plancache.QuantizeLog(float64(w.BatchBytes)))
-}
-
 // planKey derives the cache key for a workload's current statistical regime:
 // per-step profile statistics are quantized logarithmically (~9% buckets) so
 // statistically similar batches share plans while regime shifts do not, and
@@ -112,10 +104,8 @@ func planSig(w Workload, prof *Profile) plancache.SigVec {
 // fresh regime instead of serving pre-calibration plans. The policy's name
 // and parameter hash are explicit key fields, so two policies (or two
 // parameterizations of one policy) over an identical workload regime never
-// share a cache entry. The returned signature vector is the pre-hash drift
-// coordinate the near-miss tier probes by.
-func (pl *Planner) planKey(pol policy.Policy, w Workload, prof *Profile) (plancache.PlanKey, plancache.SigVec) {
-	sig := planSig(w, prof)
+// share a cache entry.
+func (pl *Planner) planKey(pol policy.Policy, w Workload, prof *Profile) plancache.PlanKey {
 	h := fnv.New64a()
 	for _, sp := range prof.Steps {
 		fmt.Fprintf(h, "|%d:%d:%d:%d", sp.Kind,
@@ -136,20 +126,18 @@ func (pl *Planner) planKey(pol policy.Policy, w Workload, prof *Profile) (planca
 		PlatformHash: platformHash(pl.Machine),
 		DVFSPolicy:   pl.dvfsPolicy(),
 		CalibQ:       plancache.QuantizeLog(instrScale),
-	}, sig
+	}
 }
 
-// lookupPlan is the exact tier of the plan-lifecycle ladder: a cached
-// deployment for the workload's regime, re-validated under the current
-// model; ok is false on miss or when the entry is no longer feasible. A hit
-// is charged to the tally so the decision log can tell cache-served plans
-// from searched ones.
+// lookupPlan is the cache tier of resolvePlan: a cached deployment for the
+// workload's regime, re-validated under the current model; ok is false on
+// miss or when the entry is no longer feasible. A hit is charged to the
+// tally so the decision log can tell cache-served plans from searched ones.
 func (pl *Planner) lookupPlan(t *searchTally, pol policy.Policy, w Workload, prof *Profile) ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool) {
 	if pl.cache == nil {
 		return nil, nil, nil, costmodel.Estimate{}, false
 	}
-	key, _ := pl.planKey(pol, w, prof)
-	e, ok := pl.cache.Get(key)
+	e, ok := pl.cache.Get(pl.planKey(pol, w, prof))
 	if !ok {
 		return nil, nil, nil, costmodel.Estimate{}, false
 	}
@@ -169,20 +157,32 @@ func (pl *Planner) lookupPlan(t *searchTally, pol policy.Policy, w Workload, pro
 	return tasks, g, e.Plan, est, true
 }
 
-// storePlan records a feasible deployment for the workload's regime, along
-// with the energy estimate the repair-quality rule will later compare
-// repaired plans against.
-func (pl *Planner) storePlan(pol policy.Policy, w Workload, prof *Profile, tasks []LogicalTask, plan costmodel.Plan, energyPerByte float64) {
-	if pl.cache == nil {
-		return
+// resolvePlan is the single plan-acquisition path every caller (Deploy and
+// DeployProfile via the policy host, both adaptation loops,
+// MultiStreamRuntime, and serve's per-shard planners) funnels through: an
+// exact cache hit when the workload's quantized regime was planned before,
+// else the full callback (the policy's own search). A feasible searched plan
+// is stored under the workload's exact key. The tally records which tier
+// served the plan for the decision log and the plan.mode.* metrics.
+func (pl *Planner) resolvePlan(
+	t *searchTally, pol policy.Policy, w Workload, prof *Profile,
+	full func() ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool),
+) ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool) {
+	if tasks, g, p, est, ok := pl.lookupPlan(t, pol, w, prof); ok {
+		return tasks, g, p, est, true
 	}
-	key, sig := pl.planKey(pol, w, prof)
-	pl.cache.Put(key, sig, tasks, plan, energyPerByte)
+	if t != nil && t.planMode == "" {
+		t.planMode = planModeFull
+	}
+	tasks, g, p, est, feasible := full()
+	if feasible && pl.cache != nil {
+		pl.cache.Put(pl.planKey(pol, w, prof), tasks, p)
+	}
+	return tasks, g, p, est, feasible
 }
 
-// cachedSearchReplication is the Deploy-path entry to the plan-lifecycle
-// ladder: resolvePlan with the model-guided replication search as the
-// full-search tier.
+// cachedSearchReplication is the Deploy-path entry to resolvePlan, with the
+// model-guided replication search as the full-search tier.
 func (pl *Planner) cachedSearchReplication(
 	t *searchTally, pol policy.Policy, w Workload, prof *Profile, base []LogicalTask,
 ) ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool) {

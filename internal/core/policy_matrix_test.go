@@ -81,17 +81,17 @@ func TestPlanCachePolicyKeying(t *testing.T) {
 
 	cs, _ := lookupPolicy(MechCStream)
 	asy, _ := lookupPolicy(MechAsyComm)
-	k1, _ := pl.planKey(cs, w, prof)
-	k2, _ := pl.planKey(asy, w, prof)
+	k1 := pl.planKey(cs, w, prof)
+	k2 := pl.planKey(asy, w, prof)
 	if k1 == k2 {
 		t.Fatal("CStream and +asy-comm. share a plan-cache key")
 	}
 
 	// Same policy, different parameterization → different key; identical
 	// parameterization → identical key.
-	h1, _ := pl.planKey(policy.NewHEFT(1.0), w, prof)
-	h2, _ := pl.planKey(policy.NewHEFT(0.8), w, prof)
-	h3, _ := pl.planKey(policy.NewHEFT(1.0), w, prof)
+	h1 := pl.planKey(policy.NewHEFT(1.0), w, prof)
+	h2 := pl.planKey(policy.NewHEFT(0.8), w, prof)
+	h3 := pl.planKey(policy.NewHEFT(1.0), w, prof)
 	if h1 == h2 {
 		t.Fatal("HEFT headroom change did not change the plan-cache key")
 	}

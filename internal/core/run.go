@@ -13,7 +13,7 @@ import (
 // fixed at deploy for the deployed workload's algorithm — the argument is
 // not consulted. The slice count is the canonical plan-invariant width:
 // compressed output is a pure function of (algorithm, batch, platform), so
-// replans, cache hits and near-miss repairs can reshape worker pools freely
+// replans and cache hits can reshape worker pools freely
 // without ever changing the bytes a stream observes. The workers slice is
 // shared: do not modify it.
 func (d *Deployment) StageWorkers(compress.Algorithm) (workers []int, slices int) {

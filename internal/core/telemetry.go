@@ -20,19 +20,15 @@ type searchTally struct {
 	nodes    int64
 	micros   float64
 	cacheHit bool
-	// planMode is the plan-lifecycle tier that served this decision's plan
-	// (planModeCache / planModeNearMissRepair / planModeFull; empty means no
-	// ladder ran, reported as "full"). driftBuckets and repairMoves qualify
-	// near-miss repairs: signature distance to the donor regime and accepted
-	// local moves.
-	planMode     string
-	driftBuckets int
-	repairMoves  int
+	// planMode is the resolvePlan tier that served this decision's plan
+	// (planModeCache / planModeFull; empty means resolvePlan never ran,
+	// reported as "full").
+	planMode string
 }
 
 // mode reports the tally's plan mode, defaulting to "full" so every deploy
-// decision carries a plan_mode even when the policy never consulted the
-// ladder (mechanism baselines place without searching).
+// decision carries a plan_mode even when the policy never consulted
+// resolvePlan (mechanism baselines place without searching).
 func (t *searchTally) mode() string {
 	if t == nil || t.planMode == "" {
 		return planModeFull
@@ -133,15 +129,10 @@ func (pl *Planner) recordDeploy(kind string, d *Deployment, t *searchTally, batc
 		dec.Searches = t.searches
 		dec.NodesExplored = t.nodes
 		dec.SearchMicros = t.micros
-		dec.DriftBuckets = t.driftBuckets
-		dec.RepairMoves = t.repairMoves
 	}
-	switch dec.PlanMode {
-	case planModeCache:
+	if dec.PlanMode == planModeCache {
 		reg.Counter(telemetry.MetricPlanModeCache).Add(1)
-	case planModeNearMissRepair:
-		reg.Counter(telemetry.MetricPlanModeNearMissRepair).Add(1)
-	default:
+	} else {
 		reg.Counter(telemetry.MetricPlanModeFull).Add(1)
 	}
 	s.Decisions().Append(dec)
@@ -283,7 +274,6 @@ func (pl *Planner) mirrorPlanCache(reg *telemetry.Registry) {
 	cs := pl.cache.Stats()
 	reg.Gauge(telemetry.MetricPlanCacheHits).Set(float64(cs.Hits))
 	reg.Gauge(telemetry.MetricPlanCacheMisses).Set(float64(cs.Misses))
-	reg.Gauge(telemetry.MetricPlanCacheNearMisses).Set(float64(cs.NearMisses))
 	reg.Gauge(telemetry.MetricPlanCacheEvictions).Set(float64(cs.Evictions))
 	reg.Gauge(telemetry.MetricPlanCacheSize).Set(float64(cs.Size))
 }

@@ -23,19 +23,6 @@ type LogicalTask struct {
 	Replicas int
 }
 
-// Replicable reports whether the logical task may be data-parallel
-// replicated: tasks carrying a cross-batch state update (dictionary
-// maintenance and the like) must stay single-instance unless their state is
-// privatized, which the chain-replication policy does not assume.
-func (t LogicalTask) Replicable() bool {
-	for _, s := range t.Steps {
-		if s == compress.StepStateUpdate {
-			return false
-		}
-	}
-	return true
-}
-
 // CloneTasks copies logical tasks so replication never mutates a caller's
 // canonical decomposition.
 func CloneTasks(in []LogicalTask) []LogicalTask {

@@ -16,7 +16,7 @@ import (
 )
 
 // DefaultPlanCacheCapacity is the plan-cache capacity implied by
-// Config.PlanCacheFile or Config.PlanRepair when Config.PlanCache is zero.
+// Config.PlanCacheFile when Config.PlanCache is zero.
 const DefaultPlanCacheCapacity = 256
 
 // Config controls experiment scale.
@@ -42,10 +42,6 @@ type Config struct {
 	// error). Implies a plan cache of DefaultPlanCacheCapacity when PlanCache
 	// is zero.
 	PlanCacheFile string
-	// PlanRepair configures the near-miss repair tier of the shared planner's
-	// plan lifecycle. The zero value disables repair; enabling it implies a
-	// plan cache of DefaultPlanCacheCapacity when PlanCache is zero.
-	PlanRepair core.RepairConfig
 	// Telemetry, when non-nil, receives metrics and scheduling-decision
 	// events from the shared planner for the whole experiment run.
 	Telemetry *telemetry.Sink
@@ -172,13 +168,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 		return nil, err
 	}
 	capacity := cfg.PlanCache
-	if capacity <= 0 && (cfg.PlanCacheFile != "" || cfg.PlanRepair.Enabled) {
+	if capacity <= 0 && cfg.PlanCacheFile != "" {
 		capacity = DefaultPlanCacheCapacity
 	}
 	if capacity > 0 {
 		pl.EnablePlanCache(capacity)
 	}
-	pl.Repair = cfg.PlanRepair
 	if cfg.PlanCacheFile != "" {
 		if _, err := pl.LoadPlanCache(cfg.PlanCacheFile); err != nil {
 			return nil, fmt.Errorf("plan cache file: %w", err)
@@ -239,7 +234,6 @@ var drivers = map[string]driver{
 	"ext-multistream": {"Concurrent streams on shared core capacity", (*Runner).ExtMultiStream},
 	"ext-policies":    {"One deploy per registered scheduling policy", (*Runner).ExtPolicies},
 	"ext-plancache":   {"Plan-cache effect on adaptation search cost", (*Runner).ExtPlanCache},
-	"ext-planchurn":   {"Plan lifecycle under fleet-scale signature churn", (*Runner).ExtPlanChurn},
 }
 
 // IDs lists all experiment ids in a stable order.

@@ -30,7 +30,7 @@ func TestIDsCoverAllPaperArtifacts(t *testing.T) {
 		"fig3", "table2", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table4", "table5",
 		"ext-algs", "ext-platforms", "ext-adapt", "ext-pipesim",
-		"ext-multistream", "ext-plancache", "ext-policies", "ext-planchurn",
+		"ext-multistream", "ext-plancache", "ext-policies",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {

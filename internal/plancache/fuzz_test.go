@@ -18,26 +18,28 @@ func FuzzPlanCacheFile(f *testing.F) {
 	// A small valid image to mutate from.
 	c := NewPlanCache(4)
 	c.Put(PlanKey{Algorithm: "tcomp32", Policy: "p", Signature: 42, LSetQ: 26000},
-		SigVec{1, 2, 3},
 		[]costmodel.LogicalTask{{
 			Name:         "read+encode",
 			Steps:        []compress.StepKind{compress.StepRead, compress.StepEncode},
 			InstrPerByte: 12.5, Kappa: 0.4, OutPerByte: 0.3, Replicas: 2,
 		}},
-		costmodel.Plan{0, 1}, 1.5)
+		costmodel.Plan{0, 1})
 	valid := EncodeEntries(c.Entries())
+	header := valid[:len(persistMagic)+4]
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])           // torn mid-record
 	f.Add([]byte{})                       // empty
 	f.Add([]byte("CSPC"))                 // header torn mid-version
-	f.Add([]byte("XSPC\x00\x00\x00\x01")) // wrong magic
-	f.Add([]byte("CSPC\x00\x00\x00\x02")) // future version
+	f.Add([]byte("XSPC\x00\x00\x00\x02")) // wrong magic
+	f.Add([]byte("CSPC\x00\x00\x00\x03")) // future version
 	// Lying frame length: claims a huge payload follows.
-	lyingFrame := append([]byte("CSPC\x00\x00\x00\x01"), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
+	lyingFrame := append(append([]byte(nil), header...), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
 	f.Add(lyingFrame)
-	// Valid CRC over a payload whose *internal* counts lie (huge task count).
-	bad := []byte{0, 0, 0, 0, 0, 0, 0, 0} // Algorithm="" Policy=""... truncated
-	lyingPayload := append([]byte("CSPC\x00\x00\x00\x01"), 0, 0, 0, byte(len(bad)))
+	// Valid CRC over a payload whose *internal* counts lie: an empty key, then
+	// a task count far beyond maxTasks.
+	bad := make([]byte, 48)
+	bad = binary.BigEndian.AppendUint32(bad, 0xffffffff)
+	lyingPayload := binary.BigEndian.AppendUint32(append([]byte(nil), header...), uint32(len(bad)))
 	lyingPayload = binary.BigEndian.AppendUint32(lyingPayload, crc32.Checksum(bad, planCacheCRC))
 	lyingPayload = append(lyingPayload, bad...)
 	f.Add(lyingPayload)
@@ -47,6 +49,11 @@ func FuzzPlanCacheFile(f *testing.F) {
 		badCRC[12] ^= 0xff
 	}
 	f.Add(badCRC)
+	// A version-1 header stops the load at the version check, whatever
+	// records follow it.
+	v1 := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(v1[len(persistMagic):], 1)
+	f.Add(v1)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries := LoadBytes(data) // must not panic
@@ -54,9 +61,9 @@ func FuzzPlanCacheFile(f *testing.F) {
 			if e == nil {
 				t.Fatal("LoadBytes returned a nil entry")
 			}
-			if len(e.Sig) > maxSigLen || len(e.Tasks) > maxTasks || len(e.Plan) > maxPlanLen {
-				t.Fatalf("decoded entry exceeds sanity caps: %d sig, %d tasks, %d plan",
-					len(e.Sig), len(e.Tasks), len(e.Plan))
+			if len(e.Tasks) > maxTasks || len(e.Plan) > maxPlanLen {
+				t.Fatalf("decoded entry exceeds sanity caps: %d tasks, %d plan",
+					len(e.Tasks), len(e.Plan))
 			}
 		}
 		// Whatever decoded must survive a re-encode/re-decode round trip with

@@ -12,9 +12,10 @@
 //	header  = magic "CSPC" | version u32
 //	record* = payloadLen u32 | crc32c(payload) u32 | payload
 //
-// where each payload encodes one Entry (key, signature vector, logical
-// tasks, plan, stored energy estimate), all integers big-endian, strings and
-// slices length-prefixed with u32 counts.
+// where each payload encodes one Entry (key, logical tasks, plan), all
+// integers big-endian, strings and slices length-prefixed with u32 counts.
+// Version 1 records also carried a signature vector and an energy estimate;
+// a version-1 file loads as a cold start.
 package plancache
 
 import (
@@ -31,14 +32,13 @@ import (
 
 const (
 	persistMagic   = "CSPC"
-	persistVersion = 1
+	persistVersion = 2
 
 	// Sanity caps: a legitimate entry is a handful of tasks over a few dozen
 	// steps; anything claiming more is a lying length field and the record
 	// (and the rest of the file) is discarded rather than allocated.
 	maxPayloadLen = 1 << 20
 	maxStringLen  = 1 << 12
-	maxSigLen     = 1 << 16
 	maxTasks      = 1 << 12
 	maxSteps      = 1 << 8
 	maxPlanLen    = 1 << 16
@@ -78,10 +78,6 @@ func encodeEntry(e *Entry) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, e.Key.PlatformHash)
 	buf = appendString(buf, e.Key.DVFSPolicy)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(e.Key.CalibQ))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Sig)))
-	for _, v := range e.Sig {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(v))
-	}
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Tasks)))
 	for _, t := range e.Tasks {
 		buf = appendString(buf, t.Name)
@@ -99,7 +95,6 @@ func encodeEntry(e *Entry) []byte {
 	for _, core := range e.Plan {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(int64(core)))
 	}
-	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(e.EnergyPerByte))
 	return buf
 }
 
@@ -163,14 +158,6 @@ func decodeEntry(payload []byte) (*Entry, bool) {
 	e.Key.PlatformHash = d.u64()
 	e.Key.DVFSPolicy = d.str()
 	e.Key.CalibQ = int32(d.u32())
-	nSig := int(d.u32())
-	if d.bad || nSig > maxSigLen {
-		return nil, false
-	}
-	e.Sig = make(SigVec, 0, nSig)
-	for i := 0; i < nSig; i++ {
-		e.Sig = append(e.Sig, int32(d.u32()))
-	}
 	nTasks := int(d.u32())
 	if d.bad || nTasks > maxTasks {
 		return nil, false
@@ -202,7 +189,6 @@ func decodeEntry(payload []byte) (*Entry, bool) {
 	for i := 0; i < nPlan; i++ {
 		e.Plan = append(e.Plan, int(int64(d.u64())))
 	}
-	e.EnergyPerByte = math.Float64frombits(d.u64())
 	if d.bad || d.off != len(payload) {
 		return nil, false
 	}

@@ -53,11 +53,9 @@ func QuantizeLSet(lset float64) int64 {
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness counters.
-// NearMisses counts successful nearest-bucket probes (PlanCache only; the
-// generic Cache has no near-miss tier and leaves it zero).
 type Stats struct {
-	Hits, Misses, NearMisses, Evictions int64
-	Size, Capacity                      int
+	Hits, Misses, Evictions int64
+	Size, Capacity          int
 }
 
 // Cache is a mutex-guarded LRU map. The zero value is unusable; call New.

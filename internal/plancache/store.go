@@ -7,18 +7,12 @@ import (
 	"repro/internal/costmodel"
 )
 
-// Entry is one cached deployment: the exact key and raw signature vector it
-// was stored under, the replicated logical tasks, the placement found for
-// them, and the energy-per-byte estimate at store time. The estimate is the
-// reference the repair-quality rule compares against: a repaired plan whose
-// estimated energy exceeds QualityRatio × EnergyPerByte falls back to full
-// search.
+// Entry is one cached deployment: the exact key it was stored under, the
+// replicated logical tasks, and the placement found for them.
 type Entry struct {
-	Key           PlanKey
-	Sig           SigVec
-	Tasks         []costmodel.LogicalTask
-	Plan          costmodel.Plan
-	EnergyPerByte float64
+	Key   PlanKey
+	Tasks []costmodel.LogicalTask
+	Plan  costmodel.Plan
 }
 
 // clone deep-copies the entry so callers and the cache never share mutable
@@ -26,30 +20,23 @@ type Entry struct {
 // everywhere, matching costmodel.CloneTasks semantics).
 func (e *Entry) clone() *Entry {
 	return &Entry{
-		Key:           e.Key,
-		Sig:           e.Sig.Clone(),
-		Tasks:         costmodel.CloneTasks(e.Tasks),
-		Plan:          e.Plan.Clone(),
-		EnergyPerByte: e.EnergyPerByte,
+		Key:   e.Key,
+		Tasks: costmodel.CloneTasks(e.Tasks),
+		Plan:  e.Plan.Clone(),
 	}
 }
 
 // PlanCache is the plan-lifecycle store: a mutex-guarded LRU over exact
-// PlanKeys with a secondary near-miss index grouping entries by CoarseKey
-// (everything but the workload signature), so a lookup that misses exactly
-// can probe for the nearest cached regime by signature distance. The zero
-// value is unusable; call NewPlanCache.
+// PlanKeys. The zero value is unusable; call NewPlanCache.
 type PlanCache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List
 	items    map[PlanKey]*list.Element
-	near     map[CoarseKey]map[PlanKey]*Entry
 
-	hits       int64
-	misses     int64
-	nearMisses int64
-	evicted    int64
+	hits    int64
+	misses  int64
+	evicted int64
 }
 
 // NewPlanCache builds a plan cache holding at most capacity entries
@@ -62,7 +49,6 @@ func NewPlanCache(capacity int) *PlanCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[PlanKey]*list.Element, capacity),
-		near:     make(map[CoarseKey]map[PlanKey]*Entry),
 	}
 }
 
@@ -80,49 +66,10 @@ func (c *PlanCache) Get(key PlanKey) (*Entry, bool) {
 	return el.Value.(*Entry).clone(), true
 }
 
-// Nearest probes the near-miss tier: among cached entries sharing the key's
-// coarse identity (same algorithm, policy, constraint, platform and
-// calibration regime), it returns a deep copy of the one whose signature
-// vector is closest to sig in L1 bucket distance, provided that distance is
-// ≤ maxDist. Ties break deterministically: smallest distance, then
-// lexicographically smallest signature vector, then smallest signature hash.
-// A successful probe counts as a near-miss and bumps the entry's recency.
-func (c *PlanCache) Nearest(key PlanKey, sig SigVec, maxDist int) (*Entry, int, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	bucket := c.near[key.Coarse()]
-	var best *Entry
-	bestDist := DistIncomparable
-	//lint:allow determinism probe order cannot leak: ties resolve by a total order (distance, then signature vector, then signature hash; equal on all three implies the same PlanKey, which the map cannot hold twice)
-	for _, e := range bucket {
-		if e.Key == key {
-			// The exact entry is Get's job; Nearest only serves drifted regimes.
-			continue
-		}
-		d := Dist(sig, e.Sig)
-		if d > maxDist {
-			continue
-		}
-		if best == nil || d < bestDist ||
-			(d == bestDist && (Compare(e.Sig, best.Sig) < 0 ||
-				(Compare(e.Sig, best.Sig) == 0 && e.Key.Signature < best.Key.Signature))) {
-			best, bestDist = e, d
-		}
-	}
-	if best == nil {
-		return nil, 0, false
-	}
-	c.nearMisses++
-	if el, ok := c.items[best.Key]; ok {
-		c.ll.MoveToFront(el)
-	}
-	return best.clone(), bestDist, true
-}
-
 // Put inserts or overwrites an entry (deep-copying the inputs), evicting the
 // least recently used entry when the cache is full.
-func (c *PlanCache) Put(key PlanKey, sig SigVec, tasks []costmodel.LogicalTask, plan costmodel.Plan, energyPerByte float64) {
-	e := (&Entry{Key: key, Sig: sig, Tasks: tasks, Plan: plan, EnergyPerByte: energyPerByte}).clone()
+func (c *PlanCache) Put(key PlanKey, tasks []costmodel.LogicalTask, plan costmodel.Plan) {
+	e := (&Entry{Key: key, Tasks: tasks, Plan: plan}).clone()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.putLocked(e)
@@ -132,41 +79,17 @@ func (c *PlanCache) putLocked(e *Entry) {
 	if el, ok := c.items[e.Key]; ok {
 		el.Value = e
 		c.ll.MoveToFront(el)
-		c.indexLocked(e)
 		return
 	}
 	if c.ll.Len() >= c.capacity {
 		oldest := c.ll.Back()
 		if oldest != nil {
-			old := oldest.Value.(*Entry)
 			c.ll.Remove(oldest)
-			delete(c.items, old.Key)
-			c.unindexLocked(old)
+			delete(c.items, oldest.Value.(*Entry).Key)
 			c.evicted++
 		}
 	}
 	c.items[e.Key] = c.ll.PushFront(e)
-	c.indexLocked(e)
-}
-
-func (c *PlanCache) indexLocked(e *Entry) {
-	ck := e.Key.Coarse()
-	bucket := c.near[ck]
-	if bucket == nil {
-		bucket = make(map[PlanKey]*Entry)
-		c.near[ck] = bucket
-	}
-	bucket[e.Key] = e
-}
-
-func (c *PlanCache) unindexLocked(e *Entry) {
-	ck := e.Key.Coarse()
-	if bucket := c.near[ck]; bucket != nil {
-		delete(bucket, e.Key)
-		if len(bucket) == 0 {
-			delete(c.near, ck)
-		}
-	}
 }
 
 // Len returns the current entry count.
@@ -181,22 +104,20 @@ func (c *PlanCache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:       c.hits,
-		Misses:     c.misses,
-		NearMisses: c.nearMisses,
-		Evictions:  c.evicted,
-		Size:       c.ll.Len(),
-		Capacity:   c.capacity,
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evicted,
+		Size:      c.ll.Len(),
+		Capacity:  c.capacity,
 	}
 }
 
-// Purge empties the cache and its near-miss index, keeping the counters.
+// Purge empties the cache, keeping the counters.
 func (c *PlanCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
 	clear(c.items)
-	clear(c.near)
 }
 
 // Entries snapshots the cache contents as deep copies, ordered least- to

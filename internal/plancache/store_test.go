@@ -31,12 +31,9 @@ func TestQuantizeEdgeInputs(t *testing.T) {
 	}
 }
 
-func sigKey(coarse string, sig SigVec) PlanKey {
-	h := uint64(1469598103934665603)
-	for _, v := range sig {
-		h = (h ^ uint64(uint32(v))) * 1099511628211
-	}
-	return PlanKey{Algorithm: coarse, Policy: "p", Signature: h, LSetQ: 26000}
+// testKey builds a distinct exact key per signature value.
+func testKey(alg string, sig uint64) PlanKey {
+	return PlanKey{Algorithm: alg, Policy: "p", Signature: sig, LSetQ: 26000}
 }
 
 func entryTasks(name string) []costmodel.LogicalTask {
@@ -47,134 +44,34 @@ func entryTasks(name string) []costmodel.LogicalTask {
 	}}
 }
 
-// TestDist pins the drift metric: L1 over bucket units, shape mismatches and
-// one-sided sentinels saturate to DistIncomparable, matching sentinels
-// contribute zero.
-func TestDist(t *testing.T) {
-	if d := Dist(SigVec{1, 2, 3}, SigVec{1, 2, 3}); d != 0 {
-		t.Fatalf("identical vectors: dist %d", d)
-	}
-	if d := Dist(SigVec{1, 2, 3}, SigVec{2, 2, 1}); d != 3 {
-		t.Fatalf("L1 = %d, want 3", d)
-	}
-	if d := Dist(SigVec{1, 2}, SigVec{1, 2, 3}); d != DistIncomparable {
-		t.Fatal("shape mismatch must be incomparable")
-	}
-	if d := Dist(SigVec{math.MinInt32, 2}, SigVec{5, 2}); d != DistIncomparable {
-		t.Fatal("one-sided sentinel must be incomparable")
-	}
-	if d := Dist(SigVec{math.MinInt32, 2}, SigVec{math.MinInt32, 4}); d != 2 {
-		t.Fatalf("matching sentinels must contribute zero, got %d", d)
-	}
-}
-
-// TestNearestPicksClosestBucket seeds three entries in one coarse regime and
-// checks the probe returns the nearest one by L1 bucket distance, honours
-// maxDist, and never crosses coarse boundaries.
-func TestNearestPicksClosestBucket(t *testing.T) {
-	c := NewPlanCache(8)
-	for _, sig := range []SigVec{{10, 10}, {10, 13}, {20, 20}} {
-		c.Put(sigKey("alg", sig), sig, entryTasks("t"), costmodel.Plan{0, 1}, 1.0)
-	}
-	probe := SigVec{10, 11}
-	e, d, ok := c.Nearest(sigKey("alg", probe), probe, 5)
-	if !ok || d != 1 || Compare(e.Sig, SigVec{10, 10}) != 0 {
-		t.Fatalf("nearest = (%v, %d, %v), want ({10,10}, 1, true)", e, d, ok)
-	}
-	// maxDist excludes everything in range 2..5 gone: probe far from all.
-	if _, _, ok := c.Nearest(sigKey("alg", SigVec{40, 40}), SigVec{40, 40}, 5); ok {
-		t.Fatal("probe beyond maxDist must miss")
-	}
-	// A different coarse identity (different algorithm) must never serve.
-	if _, _, ok := c.Nearest(sigKey("other", probe), probe, 100); ok {
-		t.Fatal("near-miss must not cross coarse-key boundaries")
-	}
-	st := c.Stats()
-	if st.NearMisses != 1 {
-		t.Fatalf("near-misses = %d, want 1", st.NearMisses)
-	}
-}
-
-// TestNearestDeterministicTies places two entries at equal distance from the
-// probe and checks the winner is the lexicographically smaller signature
-// vector, on every repetition.
-func TestNearestDeterministicTies(t *testing.T) {
-	c := NewPlanCache(8)
-	lo, hi := SigVec{8, 10}, SigVec{12, 10}
-	c.Put(sigKey("alg", hi), hi, entryTasks("hi"), costmodel.Plan{0, 1}, 1.0)
-	c.Put(sigKey("alg", lo), lo, entryTasks("lo"), costmodel.Plan{0, 1}, 1.0)
-	probe := SigVec{10, 10} // distance 2 from both
-	for i := 0; i < 50; i++ {
-		e, d, ok := c.Nearest(sigKey("alg", probe), probe, 4)
-		if !ok || d != 2 {
-			t.Fatalf("iter %d: (%v,%d,%v)", i, e, d, ok)
-		}
-		if Compare(e.Sig, lo) != 0 {
-			t.Fatalf("iter %d: tie broke to %v, want lexicographically smaller %v", i, e.Sig, lo)
-		}
-	}
-}
-
-// TestNearestExcludesExactKey: the probe must only serve drifted regimes; the
-// exact entry is Get's job (and would otherwise double-count a hit as a
-// near-miss).
-func TestNearestExcludesExactKey(t *testing.T) {
-	c := NewPlanCache(8)
-	sig := SigVec{5, 5}
-	k := sigKey("alg", sig)
-	c.Put(k, sig, entryTasks("t"), costmodel.Plan{0, 1}, 1.0)
-	if _, _, ok := c.Nearest(k, sig, 10); ok {
-		t.Fatal("Nearest must not return the probed key's own entry")
-	}
-}
-
-// TestEvictionMaintainsNearIndex: an evicted entry must also leave the
-// near-miss index, or a probe would resurrect freed plans.
-func TestEvictionMaintainsNearIndex(t *testing.T) {
-	c := NewPlanCache(2)
-	a, b, d := SigVec{1, 1}, SigVec{2, 2}, SigVec{3, 3}
-	c.Put(sigKey("alg", a), a, entryTasks("a"), costmodel.Plan{0, 1}, 1.0)
-	c.Put(sigKey("alg", b), b, entryTasks("b"), costmodel.Plan{0, 1}, 1.0)
-	c.Put(sigKey("alg", d), d, entryTasks("d"), costmodel.Plan{0, 1}, 1.0) // evicts a
-	probe := SigVec{1, 0}
-	e, dist, ok := c.Nearest(sigKey("alg", probe), probe, 10)
-	if !ok || Compare(e.Sig, b) != 0 || dist != 3 {
-		t.Fatalf("nearest after eviction = (%v,%d,%v), want b at 3", e, dist, ok)
-	}
-	if st := c.Stats(); st.Evictions != 1 || st.Size != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-}
-
 // TestGetReturnsDeepCopies: mutating a returned entry must not corrupt the
 // cached canonical copy.
 func TestGetReturnsDeepCopies(t *testing.T) {
 	c := NewPlanCache(4)
-	sig := SigVec{7}
-	k := sigKey("alg", sig)
-	c.Put(k, sig, entryTasks("t"), costmodel.Plan{0, 1}, 1.0)
+	k := testKey("alg", 7)
+	c.Put(k, entryTasks("t"), costmodel.Plan{0, 1})
 	e, _ := c.Get(k)
 	e.Tasks[0].Replicas = 99
 	e.Plan[0] = 99
-	e.Sig[0] = 99
 	e2, _ := c.Get(k)
-	if e2.Tasks[0].Replicas == 99 || e2.Plan[0] == 99 || e2.Sig[0] == 99 {
+	if e2.Tasks[0].Replicas == 99 || e2.Plan[0] == 99 {
 		t.Fatal("cache shared mutable state with a caller")
 	}
 }
 
 // TestPersistRoundTrip exercises the persist → kill → reload path: save a
-// populated cache, load it into a fresh one, and check contents, recency
-// order and near-miss behaviour all survive.
+// populated cache, load it into a fresh one, and check contents and recency
+// order survive. A file written by the version-1 encoder loads as a cold
+// start.
 func TestPersistRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "plans.cspc")
 	c := NewPlanCache(8)
-	sigs := []SigVec{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}}
+	sigs := []uint64{1, 4, 7}
 	for i, sig := range sigs {
-		c.Put(sigKey("alg", sig), sig, entryTasks("t"), costmodel.Plan{i, i + 1}, float64(i)+0.5)
+		c.Put(testKey("alg", sig), entryTasks("t"), costmodel.Plan{i, i + 1})
 	}
-	c.Get(sigKey("alg", sigs[0])) // recency: 0 > 2 > 1
+	c.Get(testKey("alg", sigs[0])) // recency: 0 > 2 > 1
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -185,11 +82,11 @@ func TestPersistRoundTrip(t *testing.T) {
 		t.Fatalf("LoadFile = (%d,%v), want (3,nil)", n, err)
 	}
 	for i, sig := range sigs {
-		e, ok := w.Get(sigKey("alg", sig))
+		e, ok := w.Get(testKey("alg", sig))
 		if !ok {
 			t.Fatalf("entry %d lost in round-trip", i)
 		}
-		if !e.Plan.Equal(costmodel.Plan{i, i + 1}) || e.EnergyPerByte != float64(i)+0.5 {
+		if !e.Plan.Equal(costmodel.Plan{i, i + 1}) {
 			t.Fatalf("entry %d corrupted: %+v", i, e)
 		}
 		if len(e.Tasks) != 1 || e.Tasks[0].Name != "t" || len(e.Tasks[0].Steps) != 2 {
@@ -202,13 +99,19 @@ func TestPersistRoundTrip(t *testing.T) {
 	if _, err := w3.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
-	extra := SigVec{100}
-	w3.Put(sigKey("alg", extra), extra, entryTasks("x"), costmodel.Plan{0}, 1.0)
-	if _, ok := w3.Get(sigKey("alg", sigs[1])); ok {
+	w3.Put(testKey("alg", 100), entryTasks("x"), costmodel.Plan{0})
+	if _, ok := w3.Get(testKey("alg", sigs[1])); ok {
 		t.Fatal("least-recent entry should have been evicted after reload")
 	}
-	if _, ok := w3.Get(sigKey("alg", sigs[0])); !ok {
+	if _, ok := w3.Get(testKey("alg", sigs[0])); !ok {
 		t.Fatal("most-recent entry should have survived after reload")
+	}
+
+	// testdata/v1.cspc is a one-entry file from the version-1 encoder, which
+	// also stored a signature vector and an energy estimate per entry.
+	v1 := NewPlanCache(8)
+	if n, err := v1.LoadFile(filepath.Join("testdata", "v1.cspc")); n != 0 || err != nil || v1.Len() != 0 {
+		t.Fatalf("LoadFile(v1) = (%d,%v), len %d; want (0,nil), empty", n, err, v1.Len())
 	}
 }
 
@@ -226,8 +129,8 @@ func TestLoadMissingFileIsColdStart(t *testing.T) {
 // original entries — the degraded cache simply forces full searches.
 func TestTornFileRecovery(t *testing.T) {
 	c := NewPlanCache(8)
-	for _, sig := range []SigVec{{1}, {2}, {3}} {
-		c.Put(sigKey("alg", sig), sig, entryTasks("t"), costmodel.Plan{0}, 1.0)
+	for sig := uint64(1); sig <= 3; sig++ {
+		c.Put(testKey("alg", sig), entryTasks("t"), costmodel.Plan{0})
 	}
 	full := EncodeEntries(c.Entries())
 	prev := 0
@@ -251,8 +154,8 @@ func TestTornFileRecovery(t *testing.T) {
 // must keep the records before it and drop the rest, silently.
 func TestCorruptRecordStopsLoad(t *testing.T) {
 	c := NewPlanCache(8)
-	for _, sig := range []SigVec{{1}, {2}, {3}} {
-		c.Put(sigKey("alg", sig), sig, entryTasks("t"), costmodel.Plan{0}, 1.0)
+	for sig := uint64(1); sig <= 3; sig++ {
+		c.Put(testKey("alg", sig), entryTasks("t"), costmodel.Plan{0})
 	}
 	entries := c.Entries()
 	one := len(EncodeEntries(entries[:1]))
@@ -276,7 +179,7 @@ func TestBadHeaderDegradesToEmpty(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"wrong-magic", []byte("XXXX\x00\x00\x00\x01")},
+		{"wrong-magic", []byte("XXXX\x00\x00\x00\x02")},
 		{"future-version", []byte("CSPC\x00\x00\x00\x63")},
 		{"short", []byte("CSPC")[:2]},
 		{"empty", nil},

@@ -1,15 +1,15 @@
 package policy
 
 import (
+	"repro/internal/compress"
 	"repro/internal/costmodel"
 )
 
 // chainPolicy replicates the compression pipeline as a partially-replicable
 // task chain, in the spirit of Idouar et al.'s energy-aware replication of
-// IoT task chains: only stateless tasks may be replicated (a task carrying a
-// cross-batch state update keeps a single instance, since replication would
-// split its state), and replicas are added to the bottleneck replicable task
-// until the latency constraint holds. Placement of each candidate chain uses
+// IoT task chains: only stateless tasks may be replicated (see replicable),
+// and replicas are added to the bottleneck replicable task until the latency
+// constraint holds. Placement of each candidate chain uses
 // the energy-minimal DP plan search under the true model, so the policy
 // isolates the value of replication *structure* — same placement machinery
 // as CStream, different replication rule, no energy hill-climb.
@@ -63,7 +63,7 @@ func bottleneckReplicable(tasks []costmodel.LogicalTask, perTask []float64) int 
 		if r < 1 {
 			r = 1
 		}
-		if t.Replicable() {
+		if replicable(t) {
 			for k := 0; k < r; k++ {
 				if idx := acc + k; idx < len(perTask) {
 					if best < 0 || perTask[idx] > bestLat {
@@ -75,4 +75,18 @@ func bottleneckReplicable(tasks []costmodel.LogicalTask, perTask []float64) int 
 		acc += r
 	}
 	return best
+}
+
+// replicable is Chain's replication rule: a task carrying a cross-batch state
+// update (dictionary maintenance and the like) keeps a single instance,
+// because Chain assumes that state is shared by the whole stream. It is the
+// one policy that assumes so; every slice of the executor runs a private
+// session (DESIGN.md, "Stateful replication").
+func replicable(t costmodel.LogicalTask) bool {
+	for _, s := range t.Steps {
+		if s == compress.StepStateUpdate {
+			return false
+		}
+	}
+	return true
 }

@@ -7,6 +7,18 @@ import (
 	"repro/internal/costmodel"
 )
 
+// replicable must be false exactly for tasks carrying cross-batch state.
+func TestReplicable(t *testing.T) {
+	stateless := costmodel.LogicalTask{Name: "enc", Steps: []compress.StepKind{compress.StepEncode}}
+	if !replicable(stateless) {
+		t.Fatal("stateless task reported non-replicable")
+	}
+	stateful := costmodel.LogicalTask{Name: "upd", Steps: []compress.StepKind{compress.StepStateUpdate}}
+	if replicable(stateful) {
+		t.Fatal("stateful task reported replicable")
+	}
+}
+
 // bottleneckReplicable must skip stateful tasks even when they own the worst
 // per-replica latency, and report -1 when nothing may be replicated.
 func TestBottleneckReplicable(t *testing.T) {
@@ -62,7 +74,7 @@ func TestChainKeepsStatefulSingle(t *testing.T) {
 		tasks[li].Replicas++
 	}
 	for _, lt := range tasks {
-		if !lt.Replicable() && lt.Replicas != 1 {
+		if !replicable(lt) && lt.Replicas != 1 {
 			t.Fatalf("stateful task %s replicated to %d", lt.Name, lt.Replicas)
 		}
 	}

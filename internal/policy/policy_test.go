@@ -95,18 +95,6 @@ func indexOf(s, sub string) int {
 	return -1
 }
 
-// Replicable must be false exactly for tasks carrying cross-batch state.
-func TestReplicable(t *testing.T) {
-	stateless := costmodel.LogicalTask{Name: "enc", Steps: []compress.StepKind{compress.StepEncode}}
-	if !stateless.Replicable() {
-		t.Fatal("stateless task reported non-replicable")
-	}
-	stateful := costmodel.LogicalTask{Name: "upd", Steps: []compress.StepKind{compress.StepStateUpdate}}
-	if stateful.Replicable() {
-		t.Fatal("stateful task reported replicable")
-	}
-}
-
 // The HEFT placement must be a pure function of its inputs: identical graphs
 // yield identical plans across repeated calls.
 func TestHEFTDeterministicPlacement(t *testing.T) {

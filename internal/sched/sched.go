@@ -61,27 +61,18 @@ type searchState struct {
 	busy     []float64
 	bestE    float64
 	bestPlan costmodel.Plan
-	// bestL/bestLForPlan are kept for API compatibility with the
-	// incremental variant; the fallback plan is built greedily instead.
-	bestL        float64
-	bestLForPlan costmodel.Plan
-	examined     int
+	examined int
 	// partialE accumulates the exact per-task energies of the partial plan.
 	partialE float64
 	// suffixMinE[i] lower-bounds the total energy of tasks i..n-1 on their
 	// individually cheapest cores, ignoring communication (admissible).
 	suffixMinE []float64
-	// shared, when non-nil, is the cross-worker incumbent of the parallel
-	// search. Pruning against it is *strict* (bound > shared) so that
-	// equal-energy plans survive in every branch and the deterministic merge
-	// can reproduce the serial tie-breaking exactly.
-	shared *sharedBound
 }
 
-// newSearchState builds a search state with the suffix bounds precomputed and
-// the incumbent seeded with a greedy energy-first plan, so the energy bound
-// prunes from the first branch.
-func newSearchState(mod *costmodel.Model, g *costmodel.Graph, lset float64, cores []int, prune bool) *searchState {
+// searchCores precomputes the suffix bounds, seeds the incumbent with a greedy
+// energy-first plan so the energy bound prunes from the first branch, and
+// runs the DFS.
+func searchCores(mod *costmodel.Model, g *costmodel.Graph, lset float64, cores []int, prune bool) Result {
 	st := &searchState{
 		mod:   mod,
 		g:     g,
@@ -91,7 +82,6 @@ func newSearchState(mod *costmodel.Model, g *costmodel.Graph, lset float64, core
 		cur:   make(costmodel.Plan, len(g.Tasks)),
 		busy:  make([]float64, mod.Machine().NumCores()),
 		bestE: math.Inf(1),
-		bestL: math.Inf(1),
 	}
 	st.buildSuffixBounds()
 	if seed, ok := st.greedyEnergyPlan(); ok {
@@ -101,11 +91,6 @@ func newSearchState(mod *costmodel.Model, g *costmodel.Graph, lset float64, core
 			st.bestPlan = seed
 		}
 	}
-	return st
-}
-
-func searchCores(mod *costmodel.Model, g *costmodel.Graph, lset float64, cores []int, prune bool) Result {
-	st := newSearchState(mod, g, lset, cores, prune)
 	st.dfs(0)
 	res := Result{PlansExamined: st.examined}
 	if st.bestPlan != nil {
@@ -140,12 +125,6 @@ func (st *searchState) taskComp(t costmodel.Task, core int) float64 {
 // taskEnergy returns the task's exact per-byte energy on a core given the
 // (already assigned) upstream placements, matching Model.Estimate.
 func (st *searchState) taskEnergy(idx, core int) float64 {
-	return st.taskEnergyIn(st.cur, idx, core)
-}
-
-// taskEnergyIn is taskEnergy with the upstream placements read from an
-// explicit partial plan (used when expanding the parallel-search frontier).
-func (st *searchState) taskEnergyIn(cur costmodel.Plan, idx, core int) float64 {
 	t := st.g.Tasks[idx]
 	instrScale, _ := st.mod.Calibration()
 	zeta := st.mod.EstZeta(core, t.Kappa)
@@ -157,7 +136,7 @@ func (st *searchState) taskEnergyIn(cur costmodel.Plan, idx, core int) float64 {
 	e += costmodel.TaskBatchEnergyUJ / float64(st.g.BatchBytes)
 	if !st.mod.CommBlind {
 		for _, edge := range st.g.Inputs(idx) {
-			from := cur[edge.From]
+			from := st.cur[edge.From]
 			if from != core {
 				e += edge.BytesPerStreamByte * st.mod.Machine().CommEnergyPerByte(from, core)
 			}
@@ -247,9 +226,6 @@ func (st *searchState) dfs(idx int) {
 		if est.Feasible && est.EnergyPerByte < st.bestE {
 			st.bestE = est.EnergyPerByte
 			st.bestPlan = st.cur.Clone()
-			if st.shared != nil {
-				st.shared.update(st.bestE)
-			}
 		}
 		return
 	}
@@ -282,25 +258,15 @@ func (st *searchState) dfs(idx int) {
 			continue
 		}
 		e := st.taskEnergy(idx, core)
-		if st.prune {
-			bound := st.partialE + e + st.suffixMinE[idx+1]
-			if bound >= st.bestE {
-				// Admissible bound: even with every remaining task on its
-				// individually cheapest core this branch cannot improve.
-				continue
-			}
-			if st.shared != nil && bound > st.shared.load() {
-				// Another worker already holds a plan at least as good as
-				// anything under this branch (strictly better than any
-				// leaf here, since leaf energy ≥ bound > shared incumbent).
-				continue
-			}
+		if st.prune && st.partialE+e+st.suffixMinE[idx+1] >= st.bestE {
+			// Admissible bound: even with every remaining task on its
+			// individually cheapest core this branch cannot improve.
+			continue
 		}
 		st.cur[idx] = core
 		// Save/restore instead of add/subtract: floating-point subtraction
 		// does not exactly undo addition, and ulp drift in busy would split
-		// the symmetry classes above, defeating the memoization (and making
-		// serial and parallel searches disagree on visit counts).
+		// the symmetry classes above, defeating the memoization.
 		oldBusy, oldE := st.busy[core], st.partialE
 		st.busy[core] = oldBusy + l
 		st.partialE = oldE + e
@@ -405,7 +371,6 @@ func SearchIncremental(mod *costmodel.Model, g *costmodel.Graph, lset float64, p
 			cur:   make(costmodel.Plan, len(g.Tasks)),
 			busy:  make([]float64, mod.Machine().NumCores()),
 			bestE: math.Inf(1),
-			bestL: math.Inf(1),
 		},
 		prev:     prev,
 		maxMoves: maxMoves,

@@ -106,9 +106,6 @@ type Config struct {
 	// files. Torn or corrupt files restore their decodable prefix without
 	// error; the lost regimes simply plan from scratch again.
 	PlanCacheFile string
-	// PlanRepair configures the shard planners' near-miss repair tier (zero
-	// value: disabled; see core.RepairConfig).
-	PlanRepair core.RepairConfig
 	// Telemetry receives all serve.* metrics; nil creates a private sink.
 	Telemetry *telemetry.Sink
 	// SegmentDir, when non-empty, attaches a durable segment sink: every
@@ -208,7 +205,6 @@ func newShard(index int, cfg *Config) (*shard, error) {
 		return nil, err
 	}
 	pl.EnablePlanCache(cfg.PlanCache)
-	pl.Repair = cfg.PlanRepair
 	pl.Telemetry = cfg.Telemetry
 	if cfg.PlanCacheFile != "" {
 		if _, err := pl.LoadPlanCache(shardCachePath(cfg.PlanCacheFile, index)); err != nil {
@@ -977,10 +973,11 @@ type ShardStatus struct {
 }
 
 // PlanCacheStatus mirrors plancache.Stats in the status document: exact hits,
-// misses, near-miss repairs served, LRU evictions, and resident entries.
+// misses, LRU evictions, and resident entries.
 type PlanCacheStatus struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// NearMisses is always 0; benchmark/phase.go reads it until the next [benchmark] PR removes it.
 	NearMisses int64 `json:"near_misses"`
 	Evictions  int64 `json:"evictions"`
 	Size       int   `json:"size"`
@@ -1039,11 +1036,10 @@ func (s *Server) StatusSnapshot() Status {
 			PeakCoreLoad: sh.rt.PeakCoreLoad(),
 			Deployments:  ndeps,
 			PlanCache: PlanCacheStatus{
-				Hits:       cs.Hits,
-				Misses:     cs.Misses,
-				NearMisses: cs.NearMisses,
-				Evictions:  cs.Evictions,
-				Size:       cs.Size,
+				Hits:      cs.Hits,
+				Misses:    cs.Misses,
+				Evictions: cs.Evictions,
+				Size:      cs.Size,
 			},
 		})
 	}

@@ -68,17 +68,9 @@ type Decision struct {
 	// reports that the plan was served from the plan cache without a search.
 	Feasible bool `json:"feasible"`
 	CacheHit bool `json:"cache_hit,omitempty"`
-	// PlanMode labels how the plan-lifecycle ladder resolved this decision's
-	// plan: "cache" (exact hit), "near-miss-repair" (drifted cached plan
-	// recovered by bounded local moves), or "full" (searched). Set on deploy
-	// and re-plan decisions.
+	// PlanMode labels how this decision's plan was acquired: "cache" (exact
+	// hit) or "full" (searched). Set on deploy and re-plan decisions.
 	PlanMode string `json:"plan_mode,omitempty"`
-	// DriftBuckets is the L1 signature distance (quantization buckets) between
-	// the workload and the cached regime a near-miss repair started from; 0
-	// for exact hits and full searches. RepairMoves counts the local moves the
-	// repair engine accepted.
-	DriftBuckets int `json:"drift_buckets"`
-	RepairMoves  int `json:"repair_moves,omitempty"`
 	// Searches and NodesExplored count the plan-search invocations and the
 	// DP/B&B search-tree leaves examined while making this decision;
 	// SearchMicros is the wall-clock time those searches took.

@@ -30,26 +30,20 @@ const (
 	MetricPlanSearchMicros = "plan.search.us"
 	// MetricDeploys counts Deploy/DeployProfile invocations.
 	MetricDeploys = "plan.deploys"
-	// MetricPlanCacheHits, MetricPlanCacheMisses, MetricPlanCacheNearMisses
-	// and MetricPlanCacheEvictions mirror the plan cache's effectiveness
-	// counters; MetricPlanCacheSize gauges its current entry count.
-	MetricPlanCacheHits       = "plan.cache_hits"
-	MetricPlanCacheMisses     = "plan.cache_misses"
-	MetricPlanCacheNearMisses = "plan.cache_near_misses"
-	MetricPlanCacheEvictions  = "plan.cache_evictions"
-	MetricPlanCacheSize       = "plan.cache_size"
-	// MetricPlanModeCache, MetricPlanModeNearMissRepair and MetricPlanModeFull
-	// count deployments by how the plan-lifecycle ladder resolved their plan:
-	// served verbatim from the cache, recovered from a drifted cached regime by
-	// bounded local repair, or (re)searched in full.
-	MetricPlanModeCache          = "plan.mode.cache"
+	// MetricPlanCacheHits, MetricPlanCacheMisses and MetricPlanCacheEvictions
+	// mirror the plan cache's effectiveness counters; MetricPlanCacheSize
+	// gauges its current entry count.
+	MetricPlanCacheHits      = "plan.cache_hits"
+	MetricPlanCacheMisses    = "plan.cache_misses"
+	MetricPlanCacheEvictions = "plan.cache_evictions"
+	MetricPlanCacheSize      = "plan.cache_size"
+	// MetricPlanModeCache and MetricPlanModeFull count deployments by how
+	// their plan was acquired: served verbatim from the cache, or (re)searched
+	// in full.
+	MetricPlanModeCache = "plan.mode.cache"
+	MetricPlanModeFull  = "plan.mode.full"
+	// MetricPlanModeNearMissRepair is never incremented; benchmark/phase.go reads it until the next [benchmark] PR removes it.
 	MetricPlanModeNearMissRepair = "plan.mode.near_miss_repair"
-	MetricPlanModeFull           = "plan.mode.full"
-	// MetricPlanRepairMoves counts local moves accepted by the plan-repair
-	// engine; MetricPlanDriftBuckets is a histogram of the signature drift (L1
-	// quantization-bucket distance) of served near-misses.
-	MetricPlanRepairMoves  = "plan.repair.moves"
-	MetricPlanDriftBuckets = "plan.drift.buckets"
 	// MetricReplans counts adaptation re-plans (PID and stats-triggered);
 	// MetricCalibrations counts batches spent in PID calibration rounds.
 	MetricReplans      = "adapt.replans"

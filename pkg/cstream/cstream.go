@@ -67,7 +67,6 @@ type config struct {
 	profileBatches  int
 	adaptation      AdaptationMode
 	planCache       int
-	planRepair      *PlanRepair
 	planCacheFile   string
 	policy          string
 	requireFeasible bool
@@ -175,39 +174,9 @@ func WithPlanCache(capacity int) Option {
 	}
 }
 
-// DefaultPlanCacheCapacity is the plan-cache capacity WithPlanRepair and
-// WithPlanCacheFile fall back to when WithPlanCache was not given.
+// DefaultPlanCacheCapacity is the plan-cache capacity WithPlanCacheFile
+// falls back to when WithPlanCache was not given.
 const DefaultPlanCacheCapacity = 256
-
-// PlanRepair tunes the near-miss repair tier of the plan-lifecycle ladder.
-// Zero fields take the planner's defaults (8 moves, 24 drift buckets,
-// quality ratio 1.2).
-type PlanRepair struct {
-	// MaxMoves bounds the local moves one repair may accept.
-	MaxMoves int
-	// MaxDriftBuckets bounds the quantized signature drift a cached plan may
-	// be repaired across; larger drift goes straight to full search.
-	MaxDriftBuckets int
-	// QualityRatio rejects repaired plans whose estimated energy exceeds
-	// QualityRatio × the cached entry's estimate.
-	QualityRatio float64
-}
-
-// WithPlanRepair enables the near-miss repair tier: when a workload's regime
-// drifts out of its exact plan-cache bucket, the nearest cached plan is
-// adapted with bounded local moves (reassign, split, merge) instead of
-// re-running the full search. Implies a plan cache of
-// DefaultPlanCacheCapacity unless WithPlanCache set one.
-func WithPlanRepair(p PlanRepair) Option {
-	return func(c *config) {
-		if p.MaxMoves < 0 || p.MaxDriftBuckets < 0 || p.QualityRatio < 0 {
-			c.optionErr("WithPlanRepair(%+v): negative bounds", p)
-			return
-		}
-		cp := p
-		c.planRepair = &cp
-	}
-}
 
 // WithPlanCacheFile persists the plan cache across process lifetimes: the
 // constructor warm-starts from path when the file exists (torn or corrupt
@@ -276,22 +245,14 @@ func applyOptions(opts []Option) (config, error) {
 
 // setupPlanner applies the plan-lifecycle configuration shared by every
 // constructor (Open/NewSession, RunStreams, NewDrone): cache capacity, the
-// near-miss repair tier, the persisted-cache warm start, and telemetry.
+// persisted-cache warm start, and telemetry.
 func setupPlanner(planner *core.Planner, cfg *config) error {
 	capacity := cfg.planCache
-	if capacity == 0 && (cfg.planRepair != nil || cfg.planCacheFile != "") {
+	if capacity == 0 && cfg.planCacheFile != "" {
 		capacity = DefaultPlanCacheCapacity
 	}
 	if capacity > 0 {
 		planner.EnablePlanCache(capacity)
-	}
-	if cfg.planRepair != nil {
-		planner.Repair = core.RepairConfig{
-			Enabled:         true,
-			MaxMoves:        cfg.planRepair.MaxMoves,
-			MaxDriftBuckets: cfg.planRepair.MaxDriftBuckets,
-			QualityRatio:    cfg.planRepair.QualityRatio,
-		}
 	}
 	if cfg.planCacheFile != "" {
 		if _, err := planner.LoadPlanCache(cfg.planCacheFile); err != nil {

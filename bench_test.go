@@ -33,8 +33,8 @@ var (
 	benchRunnerErr  error
 )
 
-// runner builds one shared fast-config experiment runner; constructing the
-// planner (roofline fits) dominates setup, so it is amortized across benches.
+// runner builds one shared fast-config experiment runner, amortized across
+// benches.
 func runner(b *testing.B) *exp.Runner {
 	b.Helper()
 	benchRunnerOnce.Do(func() {
@@ -296,6 +296,20 @@ func BenchmarkPlanDeployment(b *testing.B) {
 		dep, err := r.Planner().DeployProfile(w, prof, core.MechCStream)
 		if err != nil || !dep.Feasible {
 			b.Fatal("deployment failed")
+		}
+	}
+}
+
+// BenchmarkCostModelFit measures the instantiation step: profiling both core
+// types and fitting the four η/ζ rooflines. Every planner pays it once, so
+// serve.New pays it per shard and each cstream.NewSession once; the
+// benchdiff gate pins its allocation count.
+func BenchmarkCostModelFit(b *testing.B) {
+	m := amp.NewRK3399()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := costmodel.NewModel(m, 42); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

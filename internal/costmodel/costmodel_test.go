@@ -31,6 +31,24 @@ func newTestModel(t *testing.T) (*amp.Machine, *Model) {
 	return m, mod
 }
 
+// TestNewModelAllocs pins the instantiation step's allocation count: each
+// roofline fit allocates a few tables up front and nothing per breakpoint
+// triple.
+func TestNewModelAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	m := amp.NewRK3399()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewModel(m, 42); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 150 {
+		t.Fatalf("NewModel allocated %.0f times, want ≤ 150", allocs)
+	}
+}
+
 func TestGraphValidate(t *testing.T) {
 	g := tcomp32RovioGraph()
 	if err := g.Validate(); err != nil {

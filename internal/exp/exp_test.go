@@ -9,8 +9,7 @@ import (
 	"repro/internal/core"
 )
 
-// sharedRunner is reused across tests: building a planner (roofline fits)
-// dominates setup cost.
+// sharedRunner is reused across tests, so the planner is built once.
 var sharedRunner *Runner
 
 func runner(t *testing.T) *Runner {

@@ -1,5 +1,8 @@
 // Package roofline implements the four-segment piecewise-linear roofline
 // model of Eq. 5 and its fitting from profiled (κ, η) or (κ, ζ) samples.
+// Fit searches every breakpoint triple, but each region it can pick is a
+// contiguous run of the κ-sorted samples, so every run is fitted once and
+// the search only looks fits up.
 //
 // This is the *cost model's approximation* of the hardware: the simulator in
 // internal/amp holds the ground-truth curves; this package fits the
@@ -63,9 +66,23 @@ type Sample struct {
 // ErrTooFewSamples reports that fitting needs more points.
 var ErrTooFewSamples = errors.New("roofline: need at least 8 samples to fit four regions")
 
+// errNoFeasibleBreaks reports that no breakpoint triple leaves every region
+// enough samples.
+var errNoFeasibleBreaks = errors.New("roofline: no feasible breakpoint assignment")
+
+// line is one region's least-squares fit: slope, intercept and SSE.
+type line struct{ a, b, sse float64 }
+
 // Fit fits the four-region model to profiled samples by grid-searching the
 // three breakpoints over sample positions and least-squares fitting each
 // region (Magnani & Boyd-style segmented regression, simplified).
+//
+// The samples are sorted by κ and every breakpoint is a sample κ, so each
+// region is a contiguous run of the sorted samples. Every run a sloped region
+// can take is fitted once, and the roof mean once per start, before the
+// search; each breakpoint triple then only looks its three runs up and sums
+// the roof residuals. A region needs at least two samples (the roof one), and
+// the first triple with the least SSE wins.
 func Fit(samples []Sample) (*Model, error) {
 	if len(samples) < 8 {
 		return nil, ErrTooFewSamples
@@ -90,67 +107,76 @@ func Fit(samples []Sample) (*Model, error) {
 		cands = thin
 	}
 
+	// end[c] is the number of samples with κ ≤ cands[c-1], and end[0] = 0, so
+	// the region between breakpoints c < d is the run pts[end[c]:end[d]] and
+	// the roof above breakpoint c is pts[end[c]:].
+	nb := len(cands) + 1
+	end := make([]int, nb)
+	for c, k := range cands {
+		e := end[c]
+		for e < len(pts) && pts[e].Kappa <= k {
+			e++
+		}
+		end[c+1] = e
+	}
+	// fits[c*nb+d] fits the run pts[end[c]:end[d]]; roof[c] is the mean of
+	// pts[end[c]:].
+	fits := make([]line, nb*nb)
+	roof := make([]float64, nb)
+	for c := 0; c < nb; c++ {
+		for d := c + 1; d < nb; d++ {
+			if end[d]-end[c] >= 2 {
+				a, b, e := linFit(pts[end[c]:end[d]])
+				fits[c*nb+d] = line{a, b, e}
+			}
+		}
+		if rest := pts[end[c]:]; len(rest) > 0 {
+			var sum float64
+			for _, p := range rest {
+				sum += p.Y
+			}
+			roof[c] = sum / float64(len(rest))
+		}
+	}
+
 	best := math.Inf(1)
-	var bestModel *Model
-	for i := 0; i < len(cands); i++ {
-		for j := i + 1; j < len(cands); j++ {
-			for k := j + 1; k < len(cands); k++ {
-				m, sse, ok := fitWithBreaks(pts, cands[i], cands[j], cands[k])
-				if ok && sse < best {
+	var bi, bj, bk int
+	for i := 1; i < nb; i++ {
+		for j := i + 1; j < nb; j++ {
+			for k := j + 1; k < nb; k++ {
+				if end[i] < 2 || end[j]-end[i] < 2 || end[k]-end[j] < 2 || end[k] == len(pts) {
+					continue
+				}
+				sse := 0.0
+				sse += fits[i].sse
+				sse += fits[i*nb+j].sse
+				sse += fits[j*nb+k].sse
+				for _, p := range pts[end[k]:] {
+					// Adding d*d ≥ 0 never lowers the rounded sum, so a
+					// partial sum already at best cannot win.
+					if sse >= best {
+						break
+					}
+					d := p.Y - roof[k]
+					sse += d * d
+				}
+				if sse < best {
 					best = sse
-					bestModel = m
+					bi, bj, bk = i, j, k
 				}
 			}
 		}
 	}
-	if bestModel == nil {
-		return nil, errors.New("roofline: no feasible breakpoint assignment")
+	if bi == 0 {
+		return nil, errNoFeasibleBreaks
 	}
-	return bestModel, nil
-}
-
-// fitWithBreaks least-squares fits the three sloped regions and the flat
-// roof for fixed breakpoints; ok is false when a region lacks samples.
-func fitWithBreaks(pts []Sample, b1, b2, b3 float64) (*Model, float64, bool) {
-	var regions [4][]Sample
-	for _, p := range pts {
-		switch {
-		case p.Kappa <= b1:
-			regions[0] = append(regions[0], p)
-		case p.Kappa <= b2:
-			regions[1] = append(regions[1], p)
-		case p.Kappa <= b3:
-			regions[2] = append(regions[2], p)
-		default:
-			regions[3] = append(regions[3], p)
-		}
-	}
-	for r := 0; r < 3; r++ {
-		if len(regions[r]) < 2 {
-			return nil, 0, false
-		}
-	}
-	if len(regions[3]) < 1 {
-		return nil, 0, false
-	}
-	m := &Model{KappaL1: b1, KappaL2: b2, KappaRoof: b3}
-	sse := 0.0
-	for r := 0; r < 3; r++ {
-		a, b, e := linFit(regions[r])
-		m.A[r], m.B[r] = a, b
-		sse += e
-	}
-	// Roof: mean of the compute-bound samples.
-	var sum float64
-	for _, p := range regions[3] {
-		sum += p.Y
-	}
-	m.YMax = sum / float64(len(regions[3]))
-	for _, p := range regions[3] {
-		d := p.Y - m.YMax
-		sse += d * d
-	}
-	return m, sse, true
+	r0, r1, r2 := fits[bi], fits[bi*nb+bj], fits[bj*nb+bk]
+	return &Model{
+		KappaL1: cands[bi-1], KappaL2: cands[bj-1], KappaRoof: cands[bk-1],
+		A:    [3]float64{r0.a, r1.a, r2.a},
+		B:    [3]float64{r0.b, r1.b, r2.b},
+		YMax: roof[bk],
+	}, nil
 }
 
 // linFit returns least-squares slope, intercept and SSE for one region.

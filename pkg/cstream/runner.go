@@ -219,9 +219,9 @@ func DecodeSegments(algorithm string, segs []Segment, inputBytes int) ([]byte, e
 }
 
 // RunBatch compresses batch index of the bound dataset through the planned
-// pipeline: decomposed stages run as communicating goroutine pools with data
-// parallelism matching the replication decision. Cancelling ctx aborts the
-// run.
+// pipeline: the calling goroutine runs each slice's decomposed stages, and
+// helper goroutines join only when every participant gets enough bytes (the
+// caller-runs slice executor). Cancelling ctx aborts the run.
 func (r *Runner) RunBatch(ctx context.Context, index int) (*BatchResult, error) {
 	if r.closed {
 		return nil, errClosed("cstream: RunBatch")

@@ -62,7 +62,7 @@ func (s *Session) Pushes() int64 { return s.pushes }
 
 // Push compresses one caller-supplied batch through the planned pipeline —
 // the same execution path RunBatch drives for dataset batches, so the
-// decomposed stages run as communicating goroutine pools with pooled,
+// decomposed stages run on the caller-runs slice executor with pooled,
 // session-reusing kernel scratch (the zero-allocation hot path). The batch
 // index recorded in the result counts pushes from zero. Cancelling ctx
 // aborts the run. After Close, Push fails with ErrClosed.

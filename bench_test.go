@@ -236,6 +236,13 @@ func BenchmarkPipelineDelta32Small(b *testing.B) {
 	benchPipeline(b, compress.NewDelta32(), dataset.NewStock(1).Batch(0, 4096), 12, []int{2, 1})
 }
 
+// BenchmarkPipelineLZ4Sensor is the paper's batch size in serve-large's
+// shape: 932 800 B in the plan's 12 slices with the [1 2 1] worker vector
+// CStream deploys for lz4 on rk3399, so four participants share the slices.
+func BenchmarkPipelineLZ4Sensor(b *testing.B) {
+	benchPipeline(b, compress.NewLZ4(), dataset.NewSensor(1).Batch(0, 932800), 12, []int{1, 2, 1})
+}
+
 // BenchmarkSegmentAppend measures the durable segment sink's hot path: one
 // already-compressed batch framed, CRC'd, and appended to the active segment
 // file per iteration (rotation included whenever the byte budget trips).

@@ -1,16 +1,16 @@
 // Package hotpathalloc flags heap allocations inside the compressor hot
 // path. The PR-5 zero-allocation contract (DESIGN.md, "Hot path") is that
 // steady-state compression performs no per-batch allocation: kernels build
-// output in session-owned scratch, and pipeline stages draw buffers from
-// sync.Pools. A stray make or an append that regrows its backing array every
-// batch silently re-introduces GC pressure that the benchmarks only catch
-// after the fact; this analyzer catches it at vet time.
+// output in session-owned scratch, and the slice executor draws its
+// sessions from sync.Pools. A stray make or an append that regrows its
+// backing array every batch silently re-introduces GC pressure that the
+// benchmarks only catch after the fact; this analyzer catches it at vet
+// time.
 //
 // A function is a hot path when its name
 //
 //   - starts with Compress or compress (but not Decompress/decompress:
 //     decode paths return fresh buffers by contract), or
-//   - contains Stage (the pipeline stage functions), or
 //   - is part of the serve frame path — ReadFrame/ReadFrameInto, WriteFrame,
 //     writeResultFrame, encodeResult/encodeResultInto, decodeResultInto and
 //     the appendResult*/appendSegment* helpers — which carries the same
@@ -87,8 +87,7 @@ func hotPath(name string) bool {
 	if strings.HasPrefix(name, "Decompress") || strings.HasPrefix(name, "decompress") {
 		return false
 	}
-	if strings.HasPrefix(name, "Compress") || strings.HasPrefix(name, "compress") ||
-		strings.Contains(name, "Stage") {
+	if strings.HasPrefix(name, "Compress") || strings.HasPrefix(name, "compress") {
 		return true
 	}
 	for _, p := range framePathPrefixes {

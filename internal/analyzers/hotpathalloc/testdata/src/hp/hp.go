@@ -19,12 +19,6 @@ func compressShared(dst, src []byte) []byte {
 	return dst
 }
 
-// Hot: Stage substring.
-func rleStageScan(src []byte) []int {
-	runs := make([]int, 0) // want `make in hot path rleStageScan`
-	return runs
-}
-
 // The sanctioned idiom: make behind a cap guard allocates only until the
 // scratch reaches its high-water mark, so it is not flagged; appends outside
 // loops are not growth patterns.

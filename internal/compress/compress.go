@@ -32,6 +32,9 @@ const (
 	StepStateUpdate
 	StepStateEncode
 	StepWrite
+
+	// numStepKinds sizes Result.Steps.
+	numStepKinds
 )
 
 // String returns the paper's name for the step within its algorithm class.
@@ -92,8 +95,9 @@ type Result struct {
 	Compressed []byte
 	// BitLen is the exact compressed length in bits.
 	BitLen uint64
-	// Steps maps each decomposition step to its measured stats.
-	Steps map[StepKind]StepStats
+	// Steps holds each decomposition step's measured stats, indexed by
+	// StepKind; entries for steps outside the algorithm's template are zero.
+	Steps [numStepKinds]StepStats
 }
 
 // Ratio returns the compression ratio (compressed bits / input bits); lower
@@ -105,7 +109,7 @@ func (r *Result) Ratio() float64 {
 	return float64(r.BitLen) / float64(r.InputBytes*8)
 }
 
-// TotalCost sums cost over all steps.
+// TotalCost sums cost over all steps, in StepKind order.
 func (r *Result) TotalCost() Cost {
 	var c Cost
 	for _, s := range r.Steps {
@@ -177,50 +181,18 @@ func Extensions() []Algorithm {
 	return []Algorithm{NewDelta32(), NewRLE32(), NewHuff8()}
 }
 
-// newSteps allocates a stats map covering the given template.
-func newSteps(template []StepKind) map[StepKind]StepStats {
-	m := make(map[StepKind]StepStats, len(template))
-	for _, k := range template {
-		m[k] = StepStats{}
-	}
-	return m
-}
-
-// The two step templates, shared by the session reuse paths so resetResult
-// can zero a retained Steps map without allocating.
-var (
-	statelessTemplate = []StepKind{StepRead, StepEncode, StepWrite}
-	statefulTemplate  = []StepKind{StepRead, StepPreprocess, StepStateUpdate, StepStateEncode, StepWrite}
-)
-
 // resetResult prepares a session-owned Result for the next CompressBatchReuse
-// call: the Steps map is retained and zeroed, so steady-state calls allocate
+// call; the Steps array is zeroed in place, so steady-state calls allocate
 // nothing.
-func resetResult(res *Result, template []StepKind, inputBytes int) {
-	res.InputBytes = inputBytes
-	res.Compressed = nil
-	res.BitLen = 0
-	if res.Steps == nil {
-		res.Steps = newSteps(template)
-		return
-	}
-	for _, k := range template {
-		res.Steps[k] = StepStats{}
-	}
+func resetResult(res *Result, inputBytes int) {
+	*res = Result{InputBytes: inputBytes}
 }
 
 // cloneResult deep-copies a session-owned Result so the copy stays valid
 // after the session's scratch is reused. CompressBatch wraps the reuse path
 // with exactly this copy.
 func cloneResult(r *Result) *Result {
-	out := &Result{
-		InputBytes: r.InputBytes,
-		Compressed: append([]byte(nil), r.Compressed...),
-		BitLen:     r.BitLen,
-		Steps:      make(map[StepKind]StepStats, len(r.Steps)),
-	}
-	for k, v := range r.Steps {
-		out.Steps[k] = v
-	}
-	return out
+	out := *r
+	out.Compressed = append([]byte(nil), r.Compressed...)
+	return &out
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -56,6 +57,37 @@ func TestStepKindString(t *testing.T) {
 	}
 	if StepKind(99).String() == "" {
 		t.Fatal("unknown kind should still stringify")
+	}
+}
+
+// TestResultStepsArray pins the Steps layout: every kernel fills only its
+// template's entries, and TotalCost adds the steps in StepKind order, so the
+// sum is bit-exact and independent of anything but the stats themselves.
+func TestResultStepsArray(t *testing.T) {
+	batch := dataset.NewRovio(3).Batch(0, 16*1024+3)
+	for _, alg := range append(All(), Extensions()...) {
+		r := alg.NewSession().CompressBatch(batch)
+		inTemplate := map[StepKind]bool{}
+		for _, k := range alg.Steps() {
+			inTemplate[k] = true
+		}
+		var want Cost
+		for k := StepKind(0); k < numStepKinds; k++ {
+			st := r.Steps[k]
+			if !inTemplate[k] && st != (StepStats{}) {
+				t.Fatalf("%s: step %v outside the template has stats %+v", alg.Name(), k, st)
+			}
+			if inTemplate[k] && st.Cost.Instructions == 0 {
+				t.Fatalf("%s: template step %v counted no instructions", alg.Name(), k)
+			}
+			want.Instructions += st.Cost.Instructions
+			want.MemAccesses += st.Cost.MemAccesses
+		}
+		got := r.TotalCost()
+		if math.Float64bits(got.Instructions) != math.Float64bits(want.Instructions) ||
+			math.Float64bits(got.MemAccesses) != math.Float64bits(want.MemAccesses) {
+			t.Fatalf("%s: TotalCost = %+v, want %+v in StepKind order", alg.Name(), got, want)
+		}
 	}
 }
 

@@ -96,9 +96,14 @@ func (s *delta32Session) CompressBatch(b *stream.Batch) *Result {
 // sums. The inexact constants (dl32DeltaMem, dl32UpdateMem, dl32EncodeMem)
 // keep their per-word accumulation order.
 func (s *delta32Session) CompressBatchReuse(b *stream.Batch) *Result {
-	data := b.Bytes()
+	return s.compressBytes(b.Bytes())
+}
+
+// compressBytes is CompressBatchReuse on raw bytes; the slice executor
+// calls it per slice so no stream.Batch is built.
+func (s *delta32Session) compressBytes(data []byte) *Result {
 	res := &s.res
-	resetResult(res, statefulTemplate, len(data))
+	resetResult(res, len(data))
 	w := &s.w
 	w.Reset()
 

@@ -299,9 +299,14 @@ func (s *huff8Session) CompressBatch(b *stream.Batch) *Result {
 // memory term keeps its per-byte accumulation order because h8WriteMemBase
 // is not exactly representable.
 func (s *huff8Session) CompressBatchReuse(b *stream.Batch) *Result {
-	data := b.Bytes()
+	return s.compressBytes(b.Bytes())
+}
+
+// compressBytes is CompressBatchReuse on raw bytes; the slice executor
+// calls it per slice so no stream.Batch is built.
+func (s *huff8Session) compressBytes(data []byte) *Result {
 	res := &s.res
-	resetResult(res, statelessTemplate, len(data))
+	resetResult(res, len(data))
 	read := res.Steps[StepRead]
 	enc := res.Steps[StepEncode]
 	wr := res.Steps[StepWrite]

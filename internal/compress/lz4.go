@@ -98,9 +98,14 @@ func (s *lz4Session) CompressBatch(b *stream.Batch) *Result {
 // The cost accounting is untouched — every float accumulation keeps its
 // original order.
 func (s *lz4Session) CompressBatchReuse(b *stream.Batch) *Result {
-	src := b.Bytes()
+	return s.compressBytes(b.Bytes())
+}
+
+// compressBytes is CompressBatchReuse on raw bytes; the slice executor
+// calls it per slice so no stream.Batch is built.
+func (s *lz4Session) compressBytes(src []byte) *Result {
 	res := &s.res
-	resetResult(res, statefulTemplate, len(src))
+	resetResult(res, len(src))
 	read := res.Steps[StepRead]
 	pre := res.Steps[StepPreprocess]
 	upd := res.Steps[StepStateUpdate]
@@ -116,7 +121,14 @@ func (s *lz4Session) CompressBatchReuse(b *stream.Batch) *Result {
 	upd.Cost.Instructions += lz4WindowInstr * float64(len(src))
 	upd.Cost.MemAccesses += lz4WindowMem * float64(len(src))
 
-	var table [lz4TableSize]int32 // position+1, 0 = empty
+	// table holds position+1 per hash, 0 = empty. The empty uint64 field
+	// aligns it to 8 bytes so the per-call clear runs as whole-word stores:
+	// a plain [N]int32 can land 4-byte aligned in the frame, which made the
+	// clear ~5× slower and dominated 1–2 KiB slices.
+	var table struct {
+		_    [0]uint64
+		slot [lz4TableSize]int32
+	}
 	if need := len(src) + len(src)/255 + 32; cap(s.dst) < need {
 		s.dst = make([]byte, 0, need)
 	}
@@ -135,10 +147,10 @@ func (s *lz4Session) CompressBatchReuse(b *stream.Batch) *Result {
 		pre.Cost.MemAccesses += lz4HashMem
 
 		// s2: dictionary probe + update.
-		cand := int(table[h]) - 1
+		cand := int(table.slot[h]) - 1
 		upd.Cost.Instructions += lz4TableReadInstr
 		upd.Cost.MemAccesses += lz4TableReadMem
-		table[h] = int32(pos + 1)
+		table.slot[h] = int32(pos + 1)
 		upd.Cost.Instructions += lz4TableUpdateInstr
 		upd.Cost.MemAccesses += lz4TableUpdateMem
 

@@ -137,7 +137,7 @@ func compressTdic32Shared(b *stream.Batch, ranges [][2]int, threads int) []*Resu
 	//lint:allow hotpathalloc experiment path: one small slice per invocation
 	cursors := make([]int, threads)
 	for t := range results {
-		results[t] = &Result{Steps: newSteps(NewTdic32().Steps())}
+		results[t] = &Result{}
 		cursors[t] = ranges[t][0]
 	}
 	// Reuse the per-word compression path of tdic32Session by feeding it
@@ -161,13 +161,12 @@ func compressTdic32Shared(b *stream.Batch, ranges [][2]int, threads int) []*Resu
 			acc.Compressed = append(acc.Compressed, r.Compressed...)
 			acc.BitLen += r.BitLen
 			for kind, st := range r.Steps {
-				cur := acc.Steps[kind]
+				cur := &acc.Steps[kind]
 				cur.Cost.Add(st.Cost)
 				cur.OutBytes += st.OutBytes
-				if kind == StepStateUpdate {
+				if StepKind(kind) == StepStateUpdate {
 					cur.Cost.Add(lockCost)
 				}
-				acc.Steps[kind] = cur
 			}
 			cursors[t] = lo + 4
 		}
@@ -182,10 +181,9 @@ func compressTdic32Shared(b *stream.Batch, ranges [][2]int, threads int) []*Resu
 		acc.Compressed = append(acc.Compressed, r.Compressed...)
 		acc.BitLen += r.BitLen
 		for kind, st := range r.Steps {
-			cur := acc.Steps[kind]
+			cur := &acc.Steps[kind]
 			cur.Cost.Add(st.Cost)
 			cur.OutBytes += st.OutBytes
-			acc.Steps[kind] = cur
 		}
 	}
 	return results

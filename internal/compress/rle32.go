@@ -70,9 +70,14 @@ func (s *rle32Session) CompressBatch(b *stream.Batch) *Result {
 // memory term keeps its per-run float accumulation, since rle32ScanMem is
 // not exactly representable.
 func (s *rle32Session) CompressBatchReuse(b *stream.Batch) *Result {
-	data := b.Bytes()
+	return s.compressBytes(b.Bytes())
+}
+
+// compressBytes is CompressBatchReuse on raw bytes; the slice executor
+// calls it per slice so no stream.Batch is built.
+func (s *rle32Session) compressBytes(data []byte) *Result {
 	res := &s.res
-	resetResult(res, statelessTemplate, len(data))
+	resetResult(res, len(data))
 	w := &s.w
 	w.Reset()
 

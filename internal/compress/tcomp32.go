@@ -80,9 +80,14 @@ func (s *tcomp32Session) CompressBatch(b *stream.Batch) *Result {
 // per-word float add: tc32WriteMemBase is not exactly representable, so its
 // rounding sequence must be preserved.
 func (s *tcomp32Session) CompressBatchReuse(b *stream.Batch) *Result {
-	data := b.Bytes()
+	return s.compressBytes(b.Bytes())
+}
+
+// compressBytes is CompressBatchReuse on raw bytes; the slice executor
+// calls it per slice so no stream.Batch is built.
+func (s *tcomp32Session) compressBytes(data []byte) *Result {
 	res := &s.res
-	resetResult(res, statelessTemplate, len(data))
+	resetResult(res, len(data))
 	w := &s.w
 	w.Reset()
 

@@ -81,9 +81,10 @@ type tdic32Session struct {
 }
 
 // Reset implements Session. The writer and result scratch survive Reset —
-// only the algorithm's cross-batch state (the dictionary) is cleared.
+// only the algorithm's cross-batch state (the dictionary) is cleared. A slot
+// is read only while its used flag is set, so clearing the flags empties the
+// dictionary without touching the 16 KiB of slot values.
 func (s *tdic32Session) Reset() {
-	s.table = [tdicTableSize]uint32{}
 	s.used = [tdicTableSize]bool{}
 }
 
@@ -103,9 +104,14 @@ func (s *tdic32Session) CompressBatch(b *stream.Batch) *Result {
 // td32TableUpdateMem, td32EncodeMem, td32WriteMemBase) keep their original
 // per-word accumulation order so their rounding sequence is preserved.
 func (s *tdic32Session) CompressBatchReuse(b *stream.Batch) *Result {
-	data := b.Bytes()
+	return s.compressBytes(b.Bytes())
+}
+
+// compressBytes is CompressBatchReuse on raw bytes; the slice executor
+// calls it per slice so no stream.Batch is built.
+func (s *tdic32Session) compressBytes(data []byte) *Result {
 	res := &s.res
-	resetResult(res, statefulTemplate, len(data))
+	resetResult(res, len(data))
 	w := &s.w
 	w.Reset()
 

@@ -56,8 +56,8 @@ func canonicalSlices(cores, batchBytes int) int {
 }
 
 // RunBatch functionally compresses batch index of the workload through the
-// deployment's pipeline: the batch's slices run the decomposed stages with
-// data parallelism bounded by the replication decision. The compressed
+// deployment's pipeline: each of the batch's slices runs the algorithm's
+// kernel, with data parallelism bounded by the replication decision. The compressed
 // output is real and independently decodable per slice.
 func (d *Deployment) RunBatch(w Workload, index int) (*compress.PipelineResult, error) {
 	return d.RunBatchCtx(context.Background(), w, index)
@@ -69,8 +69,8 @@ func (d *Deployment) RunBatchCtx(ctx context.Context, w Workload, index int) (*c
 	return d.RunBatchObserved(ctx, w, index, nil)
 }
 
-// RunBatchObserved is RunBatchCtx with a per-stage observer: obs receives one
-// callback per completed (stage, slice) unit of work, which is how the
+// RunBatchObserved is RunBatchCtx with a per-slice observer: obs receives one
+// callback per completed slice, named after the algorithm, which is how the
 // telemetry layer records execution spans from live runs. A nil obs is the
 // plain unobserved path.
 func (d *Deployment) RunBatchObserved(ctx context.Context, w Workload, index int, obs compress.StageObserver) (*compress.PipelineResult, error) {

@@ -83,32 +83,28 @@ func ProfileWorkload(w Workload, batches, firstBatch int) *Profile {
 		batches = 1
 	}
 	sess := w.Algorithm.NewSession()
-	steps := w.Algorithm.Steps()
-	sum := make(map[compress.StepKind]compress.StepStats, len(steps))
-	var totalIn int
-	var totalBits uint64
+	// sum accumulates every batch's input, output and per-step stats.
+	var sum compress.Result
 	for i := 0; i < batches; i++ {
 		b := w.Dataset.Batch(firstBatch+i, w.BatchBytes)
 		r := sess.CompressBatch(b)
-		totalIn += r.InputBytes
-		totalBits += r.BitLen
+		sum.InputBytes += r.InputBytes
+		sum.BitLen += r.BitLen
 		for k, st := range r.Steps {
-			acc := sum[k]
+			acc := &sum.Steps[k]
 			acc.Cost.Add(st.Cost)
 			acc.OutBytes += st.OutBytes
-			sum[k] = acc
 		}
 	}
 	p := &Profile{
 		Workload:   w.Name(),
 		StageSets:  compress.StageSets(w.Algorithm),
 		BatchBytes: w.BatchBytes,
+		Ratio:      sum.Ratio(),
 	}
-	if totalIn > 0 {
-		p.Ratio = float64(totalBits) / float64(totalIn*8)
-	}
-	for _, k := range steps {
-		st := sum[k]
+	totalIn := sum.InputBytes
+	for _, k := range w.Algorithm.Steps() {
+		st := sum.Steps[k]
 		sp := StepProfile{Kind: k}
 		if totalIn > 0 {
 			sp.InstrPerByte = st.Cost.Instructions / float64(totalIn)

@@ -1,7 +1,8 @@
 // Package trace records wall-clock execution timelines of the functional
-// pipeline: one span per (stage, slice) unit of work. It turns the runtime's
+// pipeline: one span per (stage, slice) unit of work, where the slice
+// executor names the stage after the algorithm. It turns the runtime's
 // concurrency into an inspectable Gantt-style report, the debugging aid a
-// framework like CStream needs when a stage is suspected of starving.
+// framework like CStream needs when a slice is suspected of starving.
 package trace
 
 import (

@@ -131,7 +131,7 @@ func TestRenderTotalsSorted(t *testing.T) {
 	}
 }
 
-// The pipeline must emit one span per (stage, slice).
+// The pipeline must emit one span per slice, named after the algorithm.
 func TestPipelineEmitsSpans(t *testing.T) {
 	var r Recorder
 	alg := compress.NewTcomp32()
@@ -144,22 +144,20 @@ func TestPipelineEmitsSpans(t *testing.T) {
 		t.Fatalf("segments = %d", len(res.Segments))
 	}
 	spans := r.Spans()
-	if len(spans) != 6 { // 2 stages × 3 slices
-		t.Fatalf("spans = %d, want 6", len(spans))
+	if len(spans) != 3 {
+		t.Fatalf("spans = %d, want 3", len(spans))
 	}
-	stages := map[string]int{}
+	slices := map[int]bool{}
 	for _, s := range spans {
-		stages[s.Stage]++
+		slices[s.Slice] = true
+		if s.Stage != alg.Name() {
+			t.Fatalf("span stage = %q, want %q", s.Stage, alg.Name())
+		}
 		if s.Duration() < 0 {
 			t.Fatal("negative span")
 		}
 	}
-	if len(stages) != 2 {
-		t.Fatalf("stages = %v", stages)
-	}
-	for name, n := range stages {
-		if n != 3 {
-			t.Fatalf("stage %s has %d spans", name, n)
-		}
+	if len(slices) != 3 {
+		t.Fatalf("slices = %v", slices)
 	}
 }

@@ -219,7 +219,7 @@ func DecodeSegments(algorithm string, segs []Segment, inputBytes int) ([]byte, e
 }
 
 // RunBatch compresses batch index of the bound dataset through the planned
-// pipeline: the calling goroutine runs each slice's decomposed stages, and
+// pipeline: the calling goroutine runs the algorithm's kernel per slice, and
 // helper goroutines join only when every participant gets enough bytes (the
 // caller-runs slice executor). Cancelling ctx aborts the run.
 func (r *Runner) RunBatch(ctx context.Context, index int) (*BatchResult, error) {

@@ -61,9 +61,9 @@ func (s *Session) SourceName() string { return s.src.Name() }
 func (s *Session) Pushes() int64 { return s.pushes }
 
 // Push compresses one caller-supplied batch through the planned pipeline —
-// the same execution path RunBatch drives for dataset batches, so the
-// decomposed stages run on the caller-runs slice executor with pooled,
-// session-reusing kernel scratch (the zero-allocation hot path). The batch
+// the same execution path RunBatch drives for dataset batches, so every
+// slice runs the algorithm's kernel on the caller-runs slice executor, in a
+// pooled kernel session (the zero-allocation hot path). The batch
 // index recorded in the result counts pushes from zero. Cancelling ctx
 // aborts the run. After Close, Push fails with ErrClosed.
 func (s *Session) Push(ctx context.Context, data []byte) (*BatchResult, error) {

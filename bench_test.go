@@ -10,6 +10,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -229,11 +230,43 @@ func BenchmarkPipelineTcomp32(b *testing.B) {
 	benchPipeline(b, compress.NewTcomp32(), dataset.NewRovio(1).Batch(0, 256*1024), 4, []int{2, 2})
 }
 
-// BenchmarkPipelineDelta32Small is the inline side, in the shape serve's
-// small sessions run: a 4 KiB batch in the plan's 12 slices with [2 1]
-// workers, all on the calling goroutine.
+// BenchmarkPipelineDelta32Small is the inline side with the executor's
+// per-slice fixed cost in view: a 4 KiB batch forced into 12 slices with
+// [2 1] workers, all on the calling goroutine. Deployments cut such a batch
+// into one slice (compress.SliceCount); BenchmarkPipelineDeployHuff8Micro
+// measures that shape.
 func BenchmarkPipelineDelta32Small(b *testing.B) {
 	benchPipeline(b, compress.NewDelta32(), dataset.NewStock(1).Batch(0, 4096), 12, []int{2, 1})
+}
+
+// BenchmarkPipelineDeployHuff8Micro runs a 16 KiB batch through a planned
+// rk3399 CStream deployment's RunBatchData, so the slice count comes from
+// the deployment's rule rather than from the benchmark. huff8 on Micro is
+// the kernel with the largest per-slice fixed cost (a header and a tree per
+// slice).
+func BenchmarkPipelineDeployHuff8Micro(b *testing.B) {
+	pl, err := core.NewPlanner(amp.NewRK3399(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := core.NewWorkload(compress.NewHuff8(), dataset.NewMicro(1))
+	w.BatchBytes = 16 << 10
+	dep, err := pl.Deploy(w, core.MechCStream)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := w.Dataset.Batch(0, w.BatchBytes)
+	ctx := context.Background()
+	b.SetBytes(int64(batch.Size()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := dep.RunBatchData(ctx, w.Algorithm, batch, nil)
+		if err != nil || res.TotalBits == 0 {
+			b.Fatal(err)
+		}
+		res.Release()
+	}
 }
 
 // BenchmarkPipelineLZ4Sensor is the paper's batch size in serve-large's

@@ -136,10 +136,20 @@ func (r *PipelineResult) Release() {
 type StageObserver func(stage string, slice int, start, end time.Time)
 
 // helperShare is the least input, in bytes, every participant of a run must
-// get before helper goroutines join the caller. Below it a helper's wake-up
-// costs more than the slices it would take (a 4 KiB batch compresses in
-// under 10 µs); at the paper's B=932800 every planned worker clears it.
+// get before helper goroutines join the caller, and the least input a slice
+// is cut for (SliceCount). Below it a helper's wake-up costs more than the
+// slices it would take (a 4 KiB batch compresses in under 10 µs); at the
+// paper's B=932800 every planned worker clears it.
 const helperShare = 64 << 10
+
+// SliceCount is the number of data-parallel slices a batch of batchBytes is
+// cut into: one per helperShare of input, at least one and at most
+// maxSlices. A slice is the unit a participant claims, and no participant
+// joins for less than helperShare, so a finer cut buys no parallelism —
+// only a fresh kernel state and a segment header per slice.
+func SliceCount(batchBytes, maxSlices int) int {
+	return max(1, min(batchBytes/helperShare, maxSlices))
+}
 
 // pipelineRun is the pooled state of one RunPipeline call. The result the
 // caller receives is &run.res, so a released result recycles the whole run.

@@ -8,6 +8,27 @@ import (
 	"repro/internal/stream"
 )
 
+// TestSliceCount pins the slice rule: one slice per helperShare of input,
+// at least one, at most maxSlices.
+func TestSliceCount(t *testing.T) {
+	for _, tc := range []struct{ batchBytes, maxSlices, want int }{
+		{0, 12, 1},
+		{4096, 12, 1},
+		{31 << 10, 12, 1},
+		{65535, 12, 1},
+		{64 << 10, 12, 1},
+		{128 << 10, 12, 2},
+		{3*(64<<10) + 8, 12, 3},
+		{932800, 12, 12},
+		{932800, 100, 14},
+		{4096, 0, 1},
+	} {
+		if got := SliceCount(tc.batchBytes, tc.maxSlices); got != tc.want {
+			t.Errorf("SliceCount(%d, %d) = %d, want %d", tc.batchBytes, tc.maxSlices, got, tc.want)
+		}
+	}
+}
+
 func TestStageSets(t *testing.T) {
 	if got := StageSets(NewTcomp32()); len(got) != 2 {
 		t.Fatalf("tcomp32 stages = %v", got)

@@ -317,22 +317,30 @@ func TestStageWorkers(t *testing.T) {
 func TestRunBatchRoundTrip(t *testing.T) {
 	pl := newPlanner(t)
 	w := tcomp32Rovio()
-	w.BatchBytes = 64 * 1024
-	dep, err := pl.Deploy(w, MechCStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := dep.RunBatch(w, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := compress.DecodeSegments(w.Algorithm.Name(), res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := w.Dataset.Batch(0, w.BatchBytes).Bytes()
-	if !bytes.Equal(got, want) {
-		t.Fatal("functional pipeline round trip failed")
+	var dep *Deployment
+	// One slice per 64 KiB of batch: a single segment, then several.
+	for _, tc := range []struct{ batchBytes, segments int }{{64 << 10, 1}, {3*(64<<10) + 8, 3}} {
+		w.BatchBytes = tc.batchBytes
+		var err error
+		dep, err = pl.Deploy(w, MechCStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := dep.RunBatch(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Segments) != tc.segments {
+			t.Fatalf("%d B: %d segments, want %d", tc.batchBytes, len(res.Segments), tc.segments)
+		}
+		got, err := compress.DecodeSegments(w.Algorithm.Name(), res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := w.Dataset.Batch(0, w.BatchBytes).Bytes()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%d B: functional pipeline round trip failed", tc.batchBytes)
+		}
 	}
 	// Wrong workload rejected.
 	other := NewWorkload(compress.NewLZ4(), dataset.NewRovio(1))

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/amp"
+	"repro/internal/compress"
 	"repro/internal/costmodel"
 	"repro/internal/plancache"
 	"repro/internal/policy"
@@ -65,9 +66,11 @@ type Deployment struct {
 	// latency constraint was met.
 	Feasible bool
 	// Slices is the canonical plan-invariant data-parallel width of the
-	// functional pipeline (see canonicalSlices); it never changes across
-	// replans, so a stream's compressed bytes are independent of which plan
-	// it runs under.
+	// functional pipeline: compress.SliceCount of the planned batch size,
+	// capped at twice the core count (the bound that caps replication, so
+	// no stage out-numbers its slices). It never changes across replans, so
+	// a stream's compressed bytes are independent of which plan it runs
+	// under.
 	Slices int
 	// Executor runs the deployment on the simulated platform.
 	Executor *costmodel.Executor
@@ -350,7 +353,7 @@ func (pl *Planner) DeployProfile(w Workload, prof *Profile, mech string) (*Deplo
 		Plan:         res.Plan,
 		Estimate:     res.Estimate,
 		Feasible:     res.Feasible,
-		Slices:       canonicalSlices(len(pl.Machine.Cores()), w.BatchBytes),
+		Slices:       compress.SliceCount(w.BatchBytes, 2*len(pl.Machine.Cores())),
 		Executor:     pl.executorFor(pol, w),
 		workers:      stageWorkers(w.Algorithm, res.Tasks),
 	}

@@ -12,10 +12,10 @@ import (
 // stage (the replication decision) and the data-parallel slice count, both
 // fixed at deploy for the deployed workload's algorithm — the argument is
 // not consulted. The slice count is the canonical plan-invariant width:
-// compressed output is a pure function of (algorithm, batch, platform), so
-// replans and cache hits can reshape worker pools freely
-// without ever changing the bytes a stream observes. The workers slice is
-// shared: do not modify it.
+// compressed output is a pure function of (algorithm, batch, platform,
+// planned batch size), so replans and cache hits can reshape worker pools
+// freely without ever changing the bytes a stream observes. The workers
+// slice is shared: do not modify it.
 func (d *Deployment) StageWorkers(compress.Algorithm) (workers []int, slices int) {
 	return d.workers, d.Slices
 }
@@ -38,21 +38,6 @@ func stageWorkers(alg compress.Algorithm, tasks []LogicalTask) []int {
 		workers[si] = max(w, 1)
 	}
 	return workers
-}
-
-// canonicalSlices fixes a deployment's data-parallel width from the platform
-// and batch size alone: twice the core count (the same bound that caps
-// replication, so no stage ever out-numbers its slices), clamped to the
-// batch's word count so tiny batches never produce empty slices.
-func canonicalSlices(cores, batchBytes int) int {
-	s := 2 * cores
-	if w := batchBytes / 4; w < s {
-		s = w
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
 }
 
 // RunBatch functionally compresses batch index of the workload through the
@@ -88,10 +73,7 @@ func (d *Deployment) RunBatchObserved(ctx context.Context, w Workload, index int
 // output bytes.
 func (d *Deployment) RunBatchData(ctx context.Context, alg compress.Algorithm, b *stream.Batch, obs compress.StageObserver) (*compress.PipelineResult, error) {
 	workers, slices := d.StageWorkers(alg)
-	// Short caller-supplied batches (Session.Push accepts any size) shrink
-	// the width rather than carrying empty slices through the stages.
-	if w := b.Size() / 4; w >= 1 && w < slices {
-		slices = w
-	}
-	return compress.RunPipelineContext(ctx, alg, b, slices, workers, obs)
+	// Caller-supplied batches (Session.Push accepts any size) are cut by the
+	// same rule as the planned batch size, within the deployment's width.
+	return compress.RunPipelineContext(ctx, alg, b, compress.SliceCount(b.Size(), slices), workers, obs)
 }

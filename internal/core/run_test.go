@@ -11,7 +11,7 @@ import (
 )
 
 // smallDeployment plans delta32 at 4 KiB, the shape serve's small sessions
-// run: 12 slices, all on the calling goroutine.
+// run: one slice, on the calling goroutine.
 func smallDeployment(t *testing.T) (Workload, *Deployment) {
 	t.Helper()
 	w := NewWorkload(compress.NewDelta32(), dataset.NewStock(1))
@@ -98,5 +98,44 @@ func TestRunBatchDataZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Fatalf("RunBatchData allocated %.1f times per batch, want 0", allocs)
+	}
+}
+
+// TestPaperBatchKeepsTwelveSlices pins the slice rule at the paper's batch
+// size: a 932 800 B batch through an rk3399 CStream deployment is cut into
+// twice the core count and is byte-identical, segment by segment, to the
+// executor run with 12 slices directly, so serve-large's bytes cannot drift.
+func TestPaperBatchKeepsTwelveSlices(t *testing.T) {
+	pl := newPlanner(t)
+	for _, alg := range []compress.Algorithm{compress.NewTcomp32(), compress.NewTdic32(), compress.NewLZ4()} {
+		w := NewWorkload(alg, dataset.NewRovio(1))
+		w.BatchBytes = 932800
+		dep, err := pl.Deploy(w, MechCStream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers, slices := dep.StageWorkers(alg)
+		if slices != 12 {
+			t.Fatalf("%s: %d slices at B=932800, want 12", alg.Name(), slices)
+		}
+		got, err := dep.RunBatch(w, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := compress.RunPipeline(alg, w.Dataset.Batch(0, w.BatchBytes), 12, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Segments) != 12 || len(want.Segments) != 12 {
+			t.Fatalf("%s: %d and %d segments, want 12", alg.Name(), len(got.Segments), len(want.Segments))
+		}
+		for i, g := range got.Segments {
+			e := want.Segments[i]
+			if g.BitLen != e.BitLen || g.OrigLen != e.OrigLen || !bytes.Equal(g.Compressed, e.Compressed) {
+				t.Fatalf("%s segment %d differs from the 12-slice executor's", alg.Name(), i)
+			}
+		}
+		got.Release()
+		want.Release()
 	}
 }

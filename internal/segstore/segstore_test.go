@@ -156,6 +156,55 @@ func TestStoreRoundTripAndRotation(t *testing.T) {
 	}
 }
 
+// TestStoreReadsMultiSliceBatches is the compatibility check for the slice
+// rule: a 4 KiB batch is now cut into one slice, but records written before
+// it carry twelve. A store holding both kinds reads each back segment for
+// segment and decodes it to the original bytes.
+func TestStoreReadsMultiSliceBatches(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Algorithm: "delta32", BatchBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := testBatch(t, "delta32", 0, 4096)
+	var results []*compress.PipelineResult
+	for _, slices := range []int{12, compress.SliceCount(len(raw), 12)} {
+		res, err := compress.RunPipeline(compress.NewDelta32(), stream.NewBatchBytes(0, raw), slices, []int{2, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendResult(len(results), 0, res); err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(results[0].Segments); n != 12 {
+		t.Fatalf("legacy batch has %d segments, want 12", n)
+	}
+	if n := len(results[1].Segments); n != 1 {
+		t.Fatalf("current batch has %d segments, want 1", n)
+	}
+	files, err := SegmentFiles(dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("segment files = %v, %v", files, err)
+	}
+	seg, err := OpenSegment(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	for i, want := range results {
+		got, err := seg.ReadBatch(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBatchEqual(t, got, raw, want)
+	}
+}
+
 func TestStoreRecoversCrashedPartial(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Algorithm: "rle32"})

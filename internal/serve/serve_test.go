@@ -51,8 +51,11 @@ func TestServeRoundTrip(t *testing.T) {
 	s := startServer(t, serve.Config{Shards: 2, Seed: 42, ProfileBatches: 2})
 	c := dial(t, s)
 
+	// Three 64 KiB slices' worth, so every result frame carries several
+	// segments.
+	const batchBytes = 3*(64<<10) + 8
 	sess, err := c.Open(serve.OpenRequest{
-		Tenant: "acme", Algorithm: "tcomp32", SLO: "silver", BatchBytes: 32 << 10,
+		Tenant: "acme", Algorithm: "tcomp32", SLO: "silver", BatchBytes: batchBytes,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,12 +65,12 @@ func TestServeRoundTrip(t *testing.T) {
 		t.Fatalf("silver CLC = %v", reply.LSetUSPerByte)
 	}
 	for push := 0; push < 3; push++ {
-		data := testBatch(32<<10, byte(push))
+		data := testBatch(batchBytes, byte(push))
 		res, err := sess.Push(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.InputBytes != len(data) || len(res.Segments) == 0 {
+		if res.InputBytes != len(data) || len(res.Segments) != 3 {
 			t.Fatalf("push %d: bad result %+v", push, res)
 		}
 		if res.Measure.LatencyPerByte <= 0 || res.Measure.Contention < 1 {
@@ -96,7 +99,7 @@ func TestServeRoundTrip(t *testing.T) {
 	if got := reg.Counter(serve.MetricBatches).Value(); got != 3 {
 		t.Fatalf("batches counter = %d", got)
 	}
-	if got := reg.Counter(serve.MetricBytesIn).Value(); got != 3*(32<<10) {
+	if got := reg.Counter(serve.MetricBytesIn).Value(); got != 3*batchBytes {
 		t.Fatalf("bytes_in counter = %d", got)
 	}
 	if reg.Counter(serve.MetricTenantPrefix + "acme" + serve.TenantSuffixBatches).Value() != 3 {

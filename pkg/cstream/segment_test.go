@@ -16,13 +16,14 @@ import (
 // TestSegmentSinkRoundTrip is the storage acceptance path: batches written
 // through the public facade's segment sink must read back byte-identical to
 // what the library path returned — same segment bytes, same decode — both
-// from sealed segments and from a partial torn mid-frame.
+// from sealed segments and from a partial torn mid-frame. Batches are three
+// 64 KiB slices' worth, so every record carries several segments.
 func TestSegmentSinkRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tel := cstream.NewTelemetry()
 	r, err := cstream.Open("delta32", "Rovio",
 		cstream.WithSeed(3),
-		cstream.WithBatchBytes(16*1024),
+		cstream.WithBatchBytes(3*(64<<10)+8),
 		cstream.WithTelemetry(tel),
 		cstream.WithSegmentSink(dir, cstream.SegmentRotation{CheckpointEvery: 2}))
 	if err != nil {
@@ -54,8 +55,8 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 			if got.Batch != w.Batch || got.InputBytes != w.InputBytes || got.TotalBits != w.TotalBits {
 				t.Fatalf("batch %d shape differs: %+v vs %+v", i, got, w)
 			}
-			if len(got.Segments) != len(w.Segments) {
-				t.Fatalf("batch %d segment count %d, want %d", i, len(got.Segments), len(w.Segments))
+			if len(got.Segments) != len(w.Segments) || len(w.Segments) != 3 {
+				t.Fatalf("batch %d segment count %d, library path %d, want 3", i, len(got.Segments), len(w.Segments))
 			}
 			for j := range w.Segments {
 				if !bytes.Equal(got.Segments[j].Compressed, w.Segments[j].Compressed) {

@@ -12,6 +12,9 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
+	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -551,6 +554,66 @@ func BenchmarkServeIngestSerial(b *testing.B) { benchServeIngest(b, 1, 1) }
 // concurrently over one connection. Throughput must stay at least 2x the
 // serial baseline — the dispatch layer's reason to exist.
 func BenchmarkServeIngest(b *testing.B) { benchServeIngest(b, 8, 64) }
+
+// BenchmarkServeOpenCold measures cold session opens over loopback: each
+// iteration builds a fresh four-shard server and opens every algorithm at
+// 4 KiB and 16 KiB under silver and bronze until each shard has planned the
+// shape, closing every session again. Each open names its own tenant so the
+// ring spreads them; the open sequence, and so the work, is the same every
+// iteration. The benchdiff gate pins its allocs/op, which count the
+// profiling and planning a cold open pays.
+//
+// Client and server goroutines share sync.Pools, so how their Gets and Puts
+// interleave moves the allocation count by a few per iteration. One P, no
+// collection inside an iteration and emptied pools at its start keep the
+// count repeatable, as the exact gate needs.
+func BenchmarkServeOpenCold(b *testing.B) {
+	algorithms := []string{"tcomp32", "tdic32", "lz4", "delta32", "rle32", "huff8"}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		srv, err := serve.New(serve.Config{Shards: 4, Seed: 42, ProfileBatches: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		c, err := serve.Dial(srv.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		opens := 0
+		for _, slo := range []string{"silver", "bronze"} {
+			for _, alg := range algorithms {
+				for _, batchBytes := range []int{4 << 10, 16 << 10} {
+					var seen [4]bool
+					for covered := 0; covered < len(seen); opens++ {
+						sess, err := c.Open(serve.OpenRequest{
+							Tenant: "t" + strconv.Itoa(opens), Algorithm: alg, SLO: slo, BatchBytes: batchBytes,
+						})
+						if err != nil {
+							b.Fatal(err)
+						}
+						if sh := sess.Reply().Shard; !seen[sh] {
+							seen[sh] = true
+							covered++
+						}
+						if err := sess.Close(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		}
+		c.Close()
+		srv.Close()
+	}
+}
 
 // BenchmarkPlanCacheAdaptation measures a replan served by the LRU plan
 // cache (signature match, re-validation under the current model) against the

@@ -242,6 +242,8 @@ type OpenRequest struct {
 	// latency constraint (CLC).
 	SLO string `json:"slo"`
 	// BatchBytes is the session's batch size B; 0 takes the server default.
+	// A size above the largest Data payload (MaxFrameBytes less the frame
+	// header) is refused with a FrameError.
 	BatchBytes int `json:"batch_bytes,omitempty"`
 }
 

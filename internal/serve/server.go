@@ -167,14 +167,59 @@ func (cfg Config) Defaults() Config {
 	return cfg
 }
 
+// profileMemo is the server's one proxy profile per (algorithm, batch bytes).
+// The proxy dataset, seed and profiling depth are server-wide and a profile
+// does not depend on the CLC, so a profile is a pure function of its key:
+// every shard and SLO class plans from the same *core.Profile, which nothing
+// downstream writes. Entries are single-flighted like planned, and the map
+// mutex is held only for the lookup, never across the profiling run.
+type profileMemo struct {
+	batches int // Config.ProfileBatches
+
+	mu      sync.Mutex
+	entries map[profileKey]*memoEntry
+}
+
+type profileKey struct {
+	algorithm  string
+	batchBytes int
+}
+
+type memoEntry struct {
+	once sync.Once
+	prof *core.Profile
+}
+
+func newProfileMemo(batches int) *profileMemo {
+	return &profileMemo{batches: batches, entries: map[profileKey]*memoEntry{}}
+}
+
+// profile returns the memoised proxy profile of w's algorithm at w's batch
+// size, profiling it on first use. w.LSet plays no part in the result.
+func (m *profileMemo) profile(w core.Workload) *core.Profile {
+	key := profileKey{algorithm: w.Algorithm.Name(), batchBytes: w.BatchBytes}
+	m.mu.Lock()
+	e := m.entries[key]
+	if e == nil {
+		e = &memoEntry{}
+		m.entries[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.prof = core.ProfileWorkload(w, m.batches, 0) })
+	return e.prof
+}
+
 // shard is one multi-stream runtime plus its deployment cache. Deployments
 // are planned once per (algorithm, batch size, CLC) and shared by every
 // session with that shape; each session still gets its own stream handle
-// (and measurement executor) from Attach.
+// (and measurement executor) from Attach. The proxy profile a deployment is
+// planned from comes from the server's profileMemo, so it is computed once
+// per server; the plan search, plan cache and deployment stay per shard.
 type shard struct {
-	index int
-	cfg   *Config
-	rt    *core.MultiStreamRuntime
+	index    int
+	cfg      *Config
+	rt       *core.MultiStreamRuntime
+	profiles *profileMemo
 
 	mu   sync.Mutex
 	deps map[depKey]*planned
@@ -195,7 +240,7 @@ type planned struct {
 	err  error
 }
 
-func newShard(index int, cfg *Config) (*shard, error) {
+func newShard(index int, cfg *Config, profiles *profileMemo) (*shard, error) {
 	machine, err := machineFor(cfg.Platform)
 	if err != nil {
 		return nil, err
@@ -212,17 +257,19 @@ func newShard(index int, cfg *Config) (*shard, error) {
 		}
 	}
 	return &shard{
-		index: index,
-		cfg:   cfg,
-		rt:    core.NewMultiStreamRuntime(pl),
-		deps:  map[depKey]*planned{},
+		index:    index,
+		cfg:      cfg,
+		rt:       core.NewMultiStreamRuntime(pl),
+		profiles: profiles,
+		deps:     map[depKey]*planned{},
 	}, nil
 }
 
 // deployment returns the shard's cached deployment for the session shape,
-// planning it on first use: the proxy dataset is profiled at the session's
-// batch size and the CStream search runs under the class CLC. Identical
-// shapes share one deployment across tenants and sessions.
+// planning it on first use: the CStream search runs under the class CLC on
+// the server's one proxy profile for the (algorithm, batch size). Identical
+// shapes share one deployment across tenants and sessions; plans stay per
+// shard.
 //
 // Planning is single-flighted per shape and runs outside sh.mu: the mutex
 // only guards the map, so a first-time open of one shape (profiling plus a
@@ -247,8 +294,10 @@ func (sh *shard) deployment(algorithm string, batchBytes int, lset float64) (*pl
 	return p, nil
 }
 
-// plan profiles the shape's proxy workload and runs the CStream search,
-// storing the result (or error) on the entry. Runs under p.once.
+// plan takes the shape's proxy profile from the server memo and runs the
+// shard's CStream search on it, storing the result (or error) on the entry.
+// Runs under p.once. The algorithm is resolved first, so an unknown name
+// never reaches the memo.
 func (p *planned) plan(sh *shard, algorithm string, batchBytes int, lset float64) {
 	alg, err := compress.ByName(algorithm)
 	if err != nil {
@@ -263,8 +312,7 @@ func (p *planned) plan(sh *shard, algorithm string, batchBytes int, lset float64
 	w := core.NewWorkload(alg, gen)
 	w.BatchBytes = batchBytes
 	w.LSet = lset
-	prof := core.ProfileWorkload(w, sh.cfg.ProfileBatches, 0)
-	dep, err := sh.rt.Planner().DeployProfile(w, prof, core.MechCStream)
+	dep, err := sh.rt.Planner().DeployProfile(w, sh.profiles.profile(w), core.MechCStream)
 	if err != nil {
 		p.err = err
 		return
@@ -464,8 +512,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.sm = newServerMetrics(s.cfg.Telemetry.Metrics())
+	profiles := newProfileMemo(cfg.ProfileBatches)
 	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(i, &s.cfg)
+		sh, err := newShard(i, &s.cfg, profiles)
 		if err != nil {
 			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
 		}
@@ -797,6 +846,12 @@ func (s *Server) openSession(id uint32, req OpenRequest) (*session, OpenReply, s
 	batchBytes := req.BatchBytes
 	if batchBytes <= 0 {
 		batchBytes = s.cfg.DefaultBatchBytes
+	}
+	// No Data frame can carry a larger batch, and profiling materialises
+	// batchBytes of proxy data, so a larger size is refused before any
+	// tenant accounting or shard work.
+	if limit := MaxFrameBytes - frameOverhead; batchBytes > limit {
+		return nil, OpenReply{}, "", fmt.Errorf("batch_bytes %d exceeds the %d-byte Data payload limit", batchBytes, limit)
 	}
 
 	s.mu.Lock()

@@ -357,6 +357,31 @@ func BenchmarkCostModelFit(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileMicroPaper measures one proxy profile at the paper's
+// B = 932 800: generating two Micro batches and compressing them with
+// tcomp32, the cold set-up every serve shape, cstream.NewSession and
+// experiment pays per (algorithm, batch bytes). The benchdiff gate pins its
+// allocation count.
+//
+// A collection allocates (sync.Pool's per-P arrays, among others), and how
+// many fall inside an iteration of megabytes varies from run to run, so the
+// count is kept repeatable the way BenchmarkServeOpenCold keeps it: no
+// collection inside an iteration, one outside it.
+func BenchmarkProfileMicroPaper(b *testing.B) {
+	w := core.NewWorkload(compress.NewTcomp32(), dataset.NewMicro(1))
+	w.BatchBytes = 932800
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		b.StartTimer()
+		if p := core.ProfileWorkload(w, 2, 0); p.Ratio <= 0 {
+			b.Fatal("empty profile")
+		}
+	}
+}
+
 // --- extension benchmarks ---
 
 func BenchmarkCompressDelta32Stock(b *testing.B) {

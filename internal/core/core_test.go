@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/amp"
@@ -26,6 +28,25 @@ func newPlanner(t *testing.T) *Planner {
 func TestWorkloadName(t *testing.T) {
 	if got := tcomp32Rovio().Name(); got != "tcomp32-Rovio" {
 		t.Fatalf("Name = %s", got)
+	}
+}
+
+// TestProfileWorkloadIndependentOfParticipants pins that generating the
+// proxy batches on several goroutines changes no profile. At B = 256 KiB,
+// three batches on two Ps run as a two-batch window and a one-batch window;
+// the profile must equal the one-participant profile, for a stateless and a
+// stateful kernel.
+func TestProfileWorkloadIndependentOfParticipants(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, alg := range []compress.Algorithm{compress.NewTcomp32(), compress.NewLZ4()} {
+		w := NewWorkload(alg, dataset.NewMicro(1))
+		w.BatchBytes = 256 << 10
+		runtime.GOMAXPROCS(1)
+		serial := ProfileWorkload(w, 3, 0)
+		runtime.GOMAXPROCS(2)
+		if parallel := ProfileWorkload(w, 3, 0); !reflect.DeepEqual(parallel, serial) {
+			t.Fatalf("%s: profile with two participants\n%+v\nwant\n%+v", w.Name(), parallel, serial)
+		}
 	}
 }
 

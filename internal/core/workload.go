@@ -9,6 +9,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/compress"
 	"repro/internal/dataset"
@@ -78,22 +81,34 @@ type Profile struct {
 // ProfileWorkload measures a workload's per-step costs over `batches`
 // consecutive batches starting at firstBatch. It runs the actual compression
 // (a fresh session, so stateful algorithms warm their state naturally).
+//
+// Generating the proxy batches can cost more than compressing them, so it
+// follows the slice rule: min(compress.SliceCount(B, batches), GOMAXPROCS)
+// participants generate a window of that many batches side by side (see
+// generateBatches), and the window is then compressed serially, in index
+// order, on the one session, because stateful kernels carry state from batch
+// to batch. At most one window is live at a time. Below 128 KiB the rule
+// gives one participant, so small shapes generate inline.
 func ProfileWorkload(w Workload, batches, firstBatch int) *Profile {
 	if batches < 1 {
 		batches = 1
 	}
 	sess := w.Algorithm.NewSession()
+	window := make([]*stream.Batch, min(compress.SliceCount(w.BatchBytes, batches), runtime.GOMAXPROCS(0)))
 	// sum accumulates every batch's input, output and per-step stats.
 	var sum compress.Result
-	for i := 0; i < batches; i++ {
-		b := w.Dataset.Batch(firstBatch+i, w.BatchBytes)
-		r := sess.CompressBatch(b)
-		sum.InputBytes += r.InputBytes
-		sum.BitLen += r.BitLen
-		for k, st := range r.Steps {
-			acc := &sum.Steps[k]
-			acc.Cost.Add(st.Cost)
-			acc.OutBytes += st.OutBytes
+	for lo := 0; lo < batches; lo += len(window) {
+		win := window[:min(len(window), batches-lo)]
+		generateBatches(w, firstBatch+lo, win)
+		for _, b := range win {
+			r := sess.CompressBatch(b)
+			sum.InputBytes += r.InputBytes
+			sum.BitLen += r.BitLen
+			for k, st := range r.Steps {
+				acc := &sum.Steps[k]
+				acc.Cost.Add(st.Cost)
+				acc.OutBytes += st.OutBytes
+			}
 		}
 	}
 	p := &Profile{
@@ -114,6 +129,34 @@ func ProfileWorkload(w Workload, batches, firstBatch int) *Profile {
 		p.Steps = append(p.Steps, sp)
 	}
 	return p
+}
+
+// generateBatches fills out with w's batches first, first+1, .... Batch is
+// a pure function of its index and safe for concurrent use
+// (dataset.Generator), so the caller and len(out)-1 transient helpers claim
+// indices off an atomic cursor, as the slice executor's participants claim
+// slices. A one-batch window runs inline.
+func generateBatches(w Workload, first int, out []*stream.Batch) {
+	if len(out) == 1 {
+		out[0] = w.Dataset.Batch(first, w.BatchBytes)
+		return
+	}
+	var cursor atomic.Int32
+	claim := func() {
+		for i := int(cursor.Add(1)) - 1; i < len(out); i = int(cursor.Add(1)) - 1 {
+			out[i] = w.Dataset.Batch(first+i, w.BatchBytes)
+		}
+	}
+	var helpers sync.WaitGroup
+	for h := 1; h < len(out); h++ {
+		helpers.Add(1)
+		go func() {
+			defer helpers.Done()
+			claim()
+		}()
+	}
+	claim()
+	helpers.Wait()
 }
 
 // profileBatch measures one concrete batch (used by the adaptive runtime to

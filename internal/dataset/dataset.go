@@ -12,11 +12,17 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/stream"
 )
 
-// Generator produces batches of stream data deterministically.
+// Generator produces batches of stream data deterministically. Batch is a
+// pure function of (receiver fields, index, size) and is safe for concurrent
+// use: core.ProfileWorkload generates a profile's batches on several
+// goroutines at once. Callers that retune a generator between batches, as
+// internal/exp does with Micro's fields to shift a workload, must not do so
+// while a profile runs.
 type Generator interface {
 	// Name identifies the dataset (used in workload labels like "lz4-Rovio").
 	Name() string
@@ -71,18 +77,23 @@ func (s *Sensor) Batch(index, size int) *stream.Batch {
 	ts := int64(1600000000) + int64(index)*1000
 	for len(buf) < size {
 		ts += int64(rng.Intn(30) + 1)
-		rec := fmt.Sprintf(
-			"<obs><st>BEACH%02d</st><ts>%d</ts><tmp>%0.2f</tmp><hum>%02d</hum><wnd>%0.1f</wnd></obs>\n",
-			rng.Intn(stations), ts,
-			15+rng.Float64()*15, 40+rng.Intn(55), rng.Float64()*20)
-		buf = append(buf, rec...)
+		// One record, the bytes of
+		// "<obs><st>BEACH%02d</st><ts>%d</ts><tmp>%0.2f</tmp><hum>%02d</hum><wnd>%0.1f</wnd></obs>\n"
+		// appended in place, its fields drawn in that order.
+		st, tmp, hum, wnd := rng.Intn(stations), 15+rng.Float64()*15, 40+rng.Intn(55), rng.Float64()*20
+		buf = appendPad2(append(buf, "<obs><st>BEACH"...), st)
+		buf = strconv.AppendInt(append(buf, "</st><ts>"...), ts, 10)
+		buf = strconv.AppendFloat(append(buf, "</ts><tmp>"...), tmp, 'f', 2, 64)
+		buf = appendPad2(append(buf, "</tmp><hum>"...), hum)
+		buf = strconv.AppendFloat(append(buf, "</hum><wnd>"...), wnd, 'f', 1, 64)
+		buf = append(buf, "</wnd></obs>\n"...)
 	}
 	// Truncate to whole 16-byte tuples.
 	n := tupleCount(size, 16) * 16
 	if n > len(buf) {
 		n = len(buf) / 16 * 16
 	}
-	return tuplify(index, buf[:n], 16)
+	return stream.NewFramedBatch(index, buf[:n], 16)
 }
 
 // Rovio emulates the game-telemetry trace: (64-bit key, 64-bit payload)
@@ -127,7 +138,7 @@ func (r *Rovio) Batch(index, size int) *stream.Batch {
 		putU64(buf[i*16:], key)
 		putU64(buf[i*16+8:], payload)
 	}
-	return tuplify(index, buf, 16)
+	return stream.NewFramedBatch(index, buf, 16)
 }
 
 // Stock emulates the Shanghai stock-exchange trace: (32-bit key, 32-bit
@@ -163,7 +174,7 @@ func (s *Stock) Batch(index, size int) *stream.Batch {
 		putU32(buf[i*8:], key)
 		putU32(buf[i*8+4:], price)
 	}
-	return tuplify(index, buf, 8)
+	return stream.NewFramedBatch(index, buf, 8)
 }
 
 // Micro is the synthetic dataset for the workload-sensitivity studies: plain
@@ -206,24 +217,24 @@ func (m *Micro) Batch(index, size int) *stream.Batch {
 		vlen = 4
 	}
 	n := tupleCount(size, 4)
-	words := make([]uint32, n)
+	buf := make([]byte, n*4)
 	// Recent-symbol window for symbol duplication and a vocabulary pool.
+	// Vocabularies alias the output: bytes behind word i are final.
 	const window = 256
 	recent := make([]uint32, 0, window)
-	vocabPool := make([][]uint32, 0, 32)
+	vocabPool := make([][]byte, 0, 32)
 	i := 0
 	for i < n {
 		switch {
 		case len(vocabPool) > 0 && i+vlen <= n && rng.Float64() < m.VocabDuplication:
 			v := vocabPool[rng.Intn(len(vocabPool))]
-			copy(words[i:], v)
-			i += len(v)
+			i += copy(buf[i*4:], v) / 4
 		default:
 			w := uint32(rng.Int63n(int64(rangeMax)))
 			if len(recent) > 0 && rng.Float64() < m.SymbolDuplication {
 				w = recent[rng.Intn(len(recent))]
 			}
-			words[i] = w
+			putU32(buf[i*4:], w)
 			if len(recent) < window {
 				recent = append(recent, w)
 			} else {
@@ -232,30 +243,20 @@ func (m *Micro) Batch(index, size int) *stream.Batch {
 			i++
 			// Occasionally register the trailing run as a vocabulary.
 			if i >= vlen && rng.Float64() < 0.02 && len(vocabPool) < 32 {
-				v := make([]uint32, vlen)
-				copy(v, words[i-vlen:i])
-				vocabPool = append(vocabPool, v)
+				vocabPool = append(vocabPool, buf[(i-vlen)*4:i*4:i*4])
 			}
 		}
 	}
-	buf := make([]byte, n*4)
-	for j, w := range words {
-		putU32(buf[j*4:], w)
-	}
-	return tuplify(index, buf, 4)
+	return stream.NewFramedBatch(index, buf, 4)
 }
 
-// tuplify wraps flat bytes as a batch with the given tuple framing.
-func tuplify(index int, data []byte, tupleSize int) *stream.Batch {
-	n := len(data) / tupleSize
-	tuples := make([]stream.Tuple, n)
-	for i := 0; i < n; i++ {
-		tuples[i] = stream.Tuple{
-			Seq:     uint64(index)<<32 | uint64(i),
-			Payload: data[i*tupleSize : (i+1)*tupleSize],
-		}
+// appendPad2 appends v in decimal, zero-padded to two digits (fmt's %02d
+// for v ≥ 0).
+func appendPad2(b []byte, v int) []byte {
+	if v < 10 {
+		b = append(b, '0')
 	}
-	return stream.NewBatch(index, tuples)
+	return strconv.AppendInt(b, int64(v), 10)
 }
 
 func putU32(b []byte, v uint32) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"os"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -65,12 +66,48 @@ func TestTupleFraming(t *testing.T) {
 		if b.Size()%ts != 0 {
 			t.Fatalf("%s: size %d not multiple of tuple size %d", g.Name(), b.Size(), ts)
 		}
-		for _, tu := range b.Tuples {
+		for _, tu := range b.Tuples() {
 			if tu.Size() != ts {
 				t.Fatalf("%s: tuple size %d, want %d", g.Name(), tu.Size(), ts)
 			}
 		}
 	}
+}
+
+// TestBatchConcurrentUse checks the Generator contract that Batch is a pure
+// function of (receiver fields, index, size), safe for concurrent use: eight
+// goroutines walk every generator's batches, each from a different starting
+// point so mixed indices run side by side, and every result must equal the
+// serial output.
+func TestBatchConcurrentUse(t *testing.T) {
+	type job struct {
+		g           Generator
+		index, size int
+		want        []byte
+	}
+	var jobs []job
+	for _, g := range vectorGenerators() {
+		for _, size := range []int{1, 1000, 65539} {
+			for _, index := range []int{0, 7, 1, 3} {
+				jobs = append(jobs, job{g, index, size, g.Batch(index, size).Bytes()})
+			}
+		}
+	}
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range jobs {
+				j := jobs[(k+w*len(jobs)/goroutines)%len(jobs)]
+				if got := j.g.Batch(j.index, j.size).Bytes(); !bytes.Equal(got, j.want) {
+					t.Errorf("%s: Batch(%d, %d) on goroutine %d differs from the serial output", j.g.Name(), j.index, j.size, w)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestSensorIsASCII(t *testing.T) {
@@ -204,7 +241,7 @@ func TestMicroEntropyGrowsWithRange(t *testing.T) {
 func TestSmallBatchHasAtLeastOneTuple(t *testing.T) {
 	for _, g := range All(2) {
 		b := g.Batch(0, 1)
-		if len(b.Tuples) < 1 {
+		if len(b.Tuples()) < 1 {
 			t.Fatalf("%s: empty batch for tiny size", g.Name())
 		}
 	}

@@ -55,8 +55,10 @@ func (r *Replay) Batch(index, size int) *stream.Batch {
 	n := tupleCount(size, r.Tuple) * r.Tuple
 	out := make([]byte, n)
 	start := (index * n) % len(r.Data)
-	for i := 0; i < n; i++ {
-		out[i] = r.Data[(start+i)%len(r.Data)]
+	// The first chunk runs from start to the trace's end; the rest tile the
+	// trace from its beginning.
+	for w := 0; w < n; start = 0 {
+		w += copy(out[w:], r.Data[start:])
 	}
-	return tuplify(index, out, r.Tuple)
+	return stream.NewFramedBatch(index, out, r.Tuple)
 }

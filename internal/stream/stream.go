@@ -1,10 +1,10 @@
 // Package stream models the data-stream abstractions from the paper: tuples
-// that arrive chronologically, batches of a tunable size B, and the bounded
-// message-passing queues that connect decomposed compression tasks.
+// that arrive chronologically and batches of a tunable size B. A batch is
+// held as its flat bytes plus the tuple width that frames them; the tuple
+// view is derived on demand.
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"time"
 )
@@ -27,37 +27,27 @@ func (t Tuple) Size() int { return len(t.Payload) }
 
 // Batch is a contiguous run of stream bytes handed to one compression
 // procedure invocation (Definition 1). The paper treats the batch size B as a
-// byte count, so Batch exposes both the tuple view and the flat byte view.
+// byte count, so a batch is its flat bytes; the tuple width that frames them
+// is kept alongside, and Tuples derives the tuple view from both.
 type Batch struct {
 	// Index is the batch's position in the stream (0-based).
 	Index int
-	// Tuples are the events contained in the batch, in arrival order.
-	Tuples []Tuple
-	// data caches the flattened payload bytes.
+	// data is the batch's payload bytes, tuples back to back.
 	data []byte
+	// tupleSize is the framing width in bytes; 0 frames the whole batch as
+	// one tuple.
+	tupleSize int
 }
 
-// NewBatch assembles a batch from tuples, flattening their payloads.
-func NewBatch(index int, tuples []Tuple) *Batch {
-	total := 0
-	for _, t := range tuples {
-		total += len(t.Payload)
-	}
-	data := make([]byte, 0, total)
-	for _, t := range tuples {
-		data = append(data, t.Payload...)
-	}
-	return &Batch{Index: index, Tuples: tuples, data: data}
-}
-
-// NewBatchBytes wraps raw bytes as a single-tuple batch. Generators that
-// produce flat byte streams use this to avoid per-tuple overhead.
+// NewBatchBytes wraps raw bytes as a batch framed as one tuple.
 func NewBatchBytes(index int, data []byte) *Batch {
-	return &Batch{
-		Index:  index,
-		Tuples: []Tuple{{Seq: uint64(index), Payload: data}},
-		data:   data,
-	}
+	return &Batch{Index: index, data: data}
+}
+
+// NewFramedBatch wraps flat bytes framed as back-to-back tupleSize-byte
+// tuples, as dataset generators produce them. The bytes are not copied.
+func NewFramedBatch(index int, data []byte, tupleSize int) *Batch {
+	return &Batch{Index: index, data: data, tupleSize: tupleSize}
 }
 
 // Bytes returns the flattened payload bytes of the batch.
@@ -65,6 +55,24 @@ func (b *Batch) Bytes() []byte { return b.data }
 
 // Size returns the batch size in bytes (the paper's B).
 func (b *Batch) Size() int { return len(b.data) }
+
+// Tuples returns the batch's events in arrival order. Payloads alias the
+// batch bytes. A framed batch yields one tuple per whole tupleSize bytes,
+// numbered Index<<32 | i; an unframed one is a single tuple numbered Index.
+// Nothing on the data path reads tuples, so the view is built per call.
+func (b *Batch) Tuples() []Tuple {
+	if b.tupleSize <= 0 {
+		return []Tuple{{Seq: uint64(b.Index), Payload: b.data}}
+	}
+	tuples := make([]Tuple, len(b.data)/b.tupleSize)
+	for i := range tuples {
+		tuples[i] = Tuple{
+			Seq:     uint64(b.Index)<<32 | uint64(i),
+			Payload: b.data[i*b.tupleSize : (i+1)*b.tupleSize],
+		}
+	}
+	return tuples
+}
 
 // Slice returns a sub-batch covering data[lo:hi], used when replicated tasks
 // split a batch for data parallelism. Tuple boundaries are not preserved;
@@ -74,99 +82,4 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 		panic(fmt.Sprintf("stream: Slice [%d:%d) out of range 0..%d", lo, hi, len(b.data)))
 	}
 	return NewBatchBytes(b.Index, b.data[lo:hi])
-}
-
-// Split partitions the batch into n near-equal contiguous sub-batches.
-func (b *Batch) Split(n int) []*Batch {
-	if n <= 0 {
-		panic("stream: Split with n <= 0")
-	}
-	out := make([]*Batch, 0, n)
-	size := len(b.data)
-	for i := 0; i < n; i++ {
-		lo := i * size / n
-		hi := (i + 1) * size / n
-		out = append(out, b.Slice(lo, hi))
-	}
-	return out
-}
-
-// ErrClosed is the sentinel consumers may use to signal a torn-down queue
-// to their callers; Queue itself follows channel semantics (Recv reports
-// closure via its ok result, Send on a closed queue panics).
-var ErrClosed = errors.New("stream: queue closed")
-
-// Queue is a bounded FIFO connecting two pipeline tasks. It is a thin wrapper
-// over a buffered channel so producer and consumer goroutines synchronize via
-// message passing, matching the paper's inter-task communication model.
-type Queue struct {
-	ch chan *Message
-}
-
-// Message is one unit of inter-task communication: a chunk of (possibly
-// partially compressed) data plus bookkeeping for the cost model.
-type Message struct {
-	// BatchIndex identifies the originating batch.
-	BatchIndex int
-	// Data is the payload handed downstream.
-	Data []byte
-	// Meta carries algorithm-specific side information between steps (e.g.
-	// tcomp32 bit widths from encode to write).
-	Meta any
-	// Last marks the final message of a stream; consumers drain and stop.
-	Last bool
-}
-
-// NewQueue creates a queue with the given buffer capacity (≥1).
-func NewQueue(capacity int) *Queue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Queue{ch: make(chan *Message, capacity)}
-}
-
-// Send enqueues m, blocking while the queue is full. Sending on a closed
-// queue panics (a programming error), as with channels.
-func (q *Queue) Send(m *Message) { q.ch <- m }
-
-// Recv dequeues the next message, blocking while empty. ok is false once the
-// queue is closed and drained.
-func (q *Queue) Recv() (m *Message, ok bool) {
-	m, ok = <-q.ch
-	return m, ok
-}
-
-// Close marks the producer side finished.
-func (q *Queue) Close() { close(q.ch) }
-
-// Len reports the number of buffered messages.
-func (q *Queue) Len() int { return len(q.ch) }
-
-// Batcher groups tuples arriving on a channel into batches of at least
-// batchBytes payload bytes — the "data stream is a list of tuples
-// chronologically arriving" front end of a stream compression procedure
-// (Definition 1 fixes B; the batcher closes each batch as soon as it
-// reaches B). The final, possibly short batch is emitted when the input
-// closes; out is closed afterwards.
-func Batcher(in <-chan Tuple, batchBytes int, out chan<- *Batch) {
-	if batchBytes < 1 {
-		batchBytes = 1
-	}
-	var pending []Tuple
-	size := 0
-	index := 0
-	for t := range in {
-		pending = append(pending, t)
-		size += t.Size()
-		if size >= batchBytes {
-			out <- NewBatch(index, pending)
-			index++
-			pending = nil
-			size = 0
-		}
-	}
-	if len(pending) > 0 {
-		out <- NewBatch(index, pending)
-	}
-	close(out)
 }

@@ -2,27 +2,36 @@ package stream
 
 import (
 	"bytes"
-	"sync"
 	"testing"
-	"testing/quick"
 )
 
-func TestNewBatchFlattens(t *testing.T) {
-	tuples := []Tuple{
-		{Seq: 0, Payload: []byte{1, 2}},
-		{Seq: 1, Payload: []byte{3}},
-		{Seq: 2, Payload: []byte{4, 5, 6}},
-	}
-	b := NewBatch(7, tuples)
+func TestFramedBatchTuples(t *testing.T) {
+	data := []byte{1, 2, 3, 4, 5, 6}
+	b := NewFramedBatch(7, data, 2)
 	if b.Index != 7 {
 		t.Fatalf("Index = %d", b.Index)
 	}
-	want := []byte{1, 2, 3, 4, 5, 6}
-	if !bytes.Equal(b.Bytes(), want) {
-		t.Fatalf("Bytes = %v, want %v", b.Bytes(), want)
+	if !bytes.Equal(b.Bytes(), data) || b.Size() != 6 {
+		t.Fatalf("Bytes = %v, Size = %d", b.Bytes(), b.Size())
 	}
-	if b.Size() != 6 {
-		t.Fatalf("Size = %d", b.Size())
+	tuples := b.Tuples()
+	if len(tuples) != 3 {
+		t.Fatalf("%d tuples, want 3", len(tuples))
+	}
+	var flat []byte
+	for i, tu := range tuples {
+		if tu.Seq != 7<<32|uint64(i) || tu.Size() != 2 {
+			t.Fatalf("tuple %d: Seq = %#x, Size = %d", i, tu.Seq, tu.Size())
+		}
+		flat = append(flat, tu.Payload...)
+	}
+	if !bytes.Equal(flat, data) {
+		t.Fatalf("tuples flatten to %v, want %v", flat, data)
+	}
+	// Unframed bytes are one tuple numbered by the batch index.
+	one := NewBatchBytes(3, data).Tuples()
+	if len(one) != 1 || one[0].Seq != 3 || !bytes.Equal(one[0].Payload, data) {
+		t.Fatalf("unframed tuples = %+v", one)
 	}
 }
 
@@ -52,185 +61,4 @@ func TestBatchSlicePanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	NewBatchBytes(0, []byte{1, 2}).Slice(1, 5)
-}
-
-func TestBatchSplitCoversAllBytes(t *testing.T) {
-	data := make([]byte, 103)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	b := NewBatchBytes(0, data)
-	for _, n := range []int{1, 2, 3, 6, 7, 103, 200} {
-		parts := b.Split(n)
-		if len(parts) != n {
-			t.Fatalf("Split(%d) gave %d parts", n, len(parts))
-		}
-		var re []byte
-		for _, p := range parts {
-			re = append(re, p.Bytes()...)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("Split(%d) lost bytes", n)
-		}
-	}
-}
-
-func TestBatchSplitBalance(t *testing.T) {
-	b := NewBatchBytes(0, make([]byte, 100))
-	parts := b.Split(6)
-	min, max := 1<<30, 0
-	for _, p := range parts {
-		if p.Size() < min {
-			min = p.Size()
-		}
-		if p.Size() > max {
-			max = p.Size()
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("unbalanced split: min=%d max=%d", min, max)
-	}
-}
-
-func TestQuickSplitInvariant(t *testing.T) {
-	f := func(raw []byte, nRaw uint8) bool {
-		n := int(nRaw%8) + 1
-		b := NewBatchBytes(0, raw)
-		parts := b.Split(n)
-		total := 0
-		for _, p := range parts {
-			total += p.Size()
-		}
-		return total == len(raw) && len(parts) == n
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQueueFIFO(t *testing.T) {
-	q := NewQueue(4)
-	for i := 0; i < 4; i++ {
-		q.Send(&Message{BatchIndex: i})
-	}
-	q.Close()
-	for i := 0; i < 4; i++ {
-		m, ok := q.Recv()
-		if !ok || m.BatchIndex != i {
-			t.Fatalf("recv %d: ok=%v m=%+v", i, ok, m)
-		}
-	}
-	if _, ok := q.Recv(); ok {
-		t.Fatal("expected closed queue")
-	}
-}
-
-func TestQueueProducerConsumer(t *testing.T) {
-	q := NewQueue(2)
-	const n = 100
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < n; i++ {
-			q.Send(&Message{BatchIndex: i, Data: []byte{byte(i)}})
-		}
-		q.Close()
-	}()
-	got := 0
-	for {
-		m, ok := q.Recv()
-		if !ok {
-			break
-		}
-		if m.BatchIndex != got {
-			t.Fatalf("out of order: %d vs %d", m.BatchIndex, got)
-		}
-		got++
-	}
-	wg.Wait()
-	if got != n {
-		t.Fatalf("received %d, want %d", got, n)
-	}
-}
-
-func TestQueueLen(t *testing.T) {
-	q := NewQueue(3)
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	q.Send(&Message{})
-	q.Send(&Message{})
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-}
-
-func TestQueueMinimumCapacity(t *testing.T) {
-	q := NewQueue(0) // clamped to 1 so Send of a single item never deadlocks
-	done := make(chan struct{})
-	go func() {
-		q.Send(&Message{Last: true})
-		close(done)
-	}()
-	<-done
-	m, ok := q.Recv()
-	if !ok || !m.Last {
-		t.Fatalf("recv: ok=%v m=%+v", ok, m)
-	}
-}
-
-func TestBatcherGroupsBySize(t *testing.T) {
-	in := make(chan Tuple)
-	out := make(chan *Batch, 16)
-	go Batcher(in, 10, out)
-	for i := 0; i < 7; i++ { // 7 tuples × 4 B = 28 B → batches of 12, 12, 4
-		in <- Tuple{Seq: uint64(i), Payload: []byte{byte(i), 0, 0, 0}}
-	}
-	close(in)
-	var batches []*Batch
-	for b := range out {
-		batches = append(batches, b)
-	}
-	if len(batches) != 3 {
-		t.Fatalf("batches = %d", len(batches))
-	}
-	if batches[0].Size() != 12 || batches[1].Size() != 12 || batches[2].Size() != 4 {
-		t.Fatalf("sizes = %d %d %d", batches[0].Size(), batches[1].Size(), batches[2].Size())
-	}
-	// Indices sequential, tuples in arrival order.
-	for i, b := range batches {
-		if b.Index != i {
-			t.Fatalf("index = %d", b.Index)
-		}
-	}
-	if batches[0].Tuples[0].Seq != 0 || batches[2].Tuples[0].Seq != 6 {
-		t.Fatal("tuple order broken")
-	}
-}
-
-func TestBatcherEmptyInput(t *testing.T) {
-	in := make(chan Tuple)
-	out := make(chan *Batch, 1)
-	go Batcher(in, 10, out)
-	close(in)
-	if _, ok := <-out; ok {
-		t.Fatal("empty stream must produce no batches")
-	}
-}
-
-func TestBatcherDegenerateBatchSize(t *testing.T) {
-	in := make(chan Tuple, 2)
-	out := make(chan *Batch, 4)
-	in <- Tuple{Payload: []byte{1}}
-	in <- Tuple{Payload: []byte{2}}
-	close(in)
-	Batcher(in, 0, out) // clamped to 1: one batch per tuple
-	count := 0
-	for range out {
-		count++
-	}
-	if count != 2 {
-		t.Fatalf("batches = %d", count)
-	}
 }

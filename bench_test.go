@@ -325,6 +325,50 @@ func BenchmarkDecompressLZ4(b *testing.B) {
 	}
 }
 
+// benchDecode measures compress.DecodeSegments, the funnel under every
+// Decode, on one batch compressed in the given number of slices. The
+// decoder contract allows one allocation per batch: its output buffer.
+func benchDecode(b *testing.B, alg compress.Algorithm, batch *stream.Batch, slices int) {
+	res, err := compress.RunPipeline(alg, batch, slices, make([]int, len(compress.StageSets(alg))))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer res.Release()
+	b.SetBytes(int64(batch.Size()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := compress.DecodeSegments(alg.Name(), res)
+		if err != nil || len(out) != batch.Size() {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecompressTcomp32Paper decodes serve-large's shape: the paper's
+// B = 932 800 in 12 slices.
+func BenchmarkDecompressTcomp32Paper(b *testing.B) {
+	benchDecode(b, compress.NewTcomp32(), dataset.NewRovio(1).Batch(0, 932800), 12)
+}
+
+// BenchmarkDecompressTdic32Paper is the stateful bit-packed decoder at the
+// paper's batch size.
+func BenchmarkDecompressTdic32Paper(b *testing.B) {
+	benchDecode(b, compress.NewTdic32(), dataset.NewRovio(1).Batch(0, 932800), 12)
+}
+
+// BenchmarkDecompressLZ4Paper is the byte-oriented decoder at the paper's
+// batch size.
+func BenchmarkDecompressLZ4Paper(b *testing.B) {
+	benchDecode(b, compress.NewLZ4(), dataset.NewSensor(1).Batch(0, 932800), 12)
+}
+
+// BenchmarkDecompressHuff8Micro decodes a 16 KiB batch as one slice, where
+// building the code table per batch is a visible share of the work.
+func BenchmarkDecompressHuff8Micro(b *testing.B) {
+	benchDecode(b, compress.NewHuff8(), dataset.NewMicro(1).Batch(0, 16<<10), 1)
+}
+
 // BenchmarkPlanDeployment measures end-to-end planning cost (profile +
 // decompose + replicate + search) — the framework's own overhead, which
 // E_mes includes per Section VI-C.

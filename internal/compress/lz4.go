@@ -260,14 +260,20 @@ var ErrLZ4Corrupt = errors.New("lz4: corrupt block")
 
 // DecompressLZ4 reverses CompressBatch, producing exactly origLen bytes.
 func DecompressLZ4(block []byte, origLen int) ([]byte, error) {
-	out := make([]byte, 0, origLen)
-	i := 0
+	return decodeFresh(origLen, func(dst []byte) error { return decodeLZ4Into(dst, block) })
+}
+
+// decodeLZ4Into decodes block into all of dst. The block ends when dst is
+// full: at a sequence whose literals fill it, or at the end of the block
+// after a match that does.
+func decodeLZ4Into(dst, block []byte) error {
+	o, i := 0, 0
 	for {
 		if i >= len(block) {
-			if len(out) == origLen {
-				return out, nil
+			if o == len(dst) {
+				return nil
 			}
-			return nil, fmt.Errorf("%w: ran out of input at %d/%d bytes", ErrLZ4Corrupt, len(out), origLen)
+			return fmt.Errorf("%w: ran out of input at %d/%d bytes", ErrLZ4Corrupt, o, len(dst))
 		}
 		token := block[i]
 		i++
@@ -276,45 +282,50 @@ func DecompressLZ4(block []byte, origLen int) ([]byte, error) {
 			var n int
 			n, i = readLenExt(block, i)
 			if i < 0 {
-				return nil, fmt.Errorf("%w: truncated literal length", ErrLZ4Corrupt)
+				return fmt.Errorf("%w: truncated literal length", ErrLZ4Corrupt)
 			}
 			litLen += n
 		}
 		if i+litLen > len(block) {
-			return nil, fmt.Errorf("%w: truncated literals", ErrLZ4Corrupt)
+			return fmt.Errorf("%w: truncated literals", ErrLZ4Corrupt)
 		}
-		out = append(out, block[i:i+litLen]...)
+		if o+litLen > len(dst) {
+			return fmt.Errorf("%w: output overrun (%d > %d)", ErrLZ4Corrupt, o+litLen, len(dst))
+		}
+		o += copy(dst[o:], block[i:i+litLen])
 		i += litLen
-		if len(out) >= origLen {
+		if o == len(dst) {
 			// Terminating sequence reached.
-			if len(out) != origLen {
-				return nil, fmt.Errorf("%w: output overrun (%d > %d)", ErrLZ4Corrupt, len(out), origLen)
-			}
-			return out, nil
+			return nil
 		}
 		if i+2 > len(block) {
-			// A literals-only terminator that did not fill origLen.
-			return nil, fmt.Errorf("%w: missing match offset", ErrLZ4Corrupt)
+			// A literals-only terminator that did not fill dst.
+			return fmt.Errorf("%w: missing match offset", ErrLZ4Corrupt)
 		}
 		offset := int(block[i]) | int(block[i+1])<<8
 		i += 2
-		if offset == 0 || offset > len(out) {
-			return nil, fmt.Errorf("%w: bad offset %d at output %d", ErrLZ4Corrupt, offset, len(out))
+		if offset == 0 || offset > o {
+			return fmt.Errorf("%w: bad offset %d at output %d", ErrLZ4Corrupt, offset, o)
 		}
 		matchLen := int(token & 0x0F)
 		if matchLen == 15 {
 			var n int
 			n, i = readLenExt(block, i)
 			if i < 0 {
-				return nil, fmt.Errorf("%w: truncated match length", ErrLZ4Corrupt)
+				return fmt.Errorf("%w: truncated match length", ErrLZ4Corrupt)
 			}
 			matchLen += n
 		}
-		matchLen += lz4MinMatch
-		// Overlapping copy, byte by byte (offsets may be < matchLen).
-		start := len(out) - offset
-		for j := 0; j < matchLen; j++ {
-			out = append(out, out[start+j])
+		end := o + matchLen + lz4MinMatch
+		if end > len(dst) {
+			return fmt.Errorf("%w: output overrun (%d > %d)", ErrLZ4Corrupt, end, len(dst))
+		}
+		// The source dst[start:o] is periodic in offset and every copy
+		// extends it by a multiple of offset, so each copy reads only
+		// bytes already written: one copy when offset ≥ the match length,
+		// doubling copies when the match overlaps itself.
+		for start := o - offset; o < end; {
+			o += copy(dst[o:end], dst[start:o])
 		}
 	}
 }

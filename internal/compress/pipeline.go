@@ -281,34 +281,3 @@ func (r *pipelineRun) compressSlice(i int) {
 		pooled:     sess,
 	}
 }
-
-// DecodeSegments reverses a PipelineResult for the given algorithm,
-// reassembling the original batch bytes.
-func DecodeSegments(algName string, res *PipelineResult) ([]byte, error) {
-	out := make([]byte, 0, res.InputBytes)
-	for _, seg := range res.Segments {
-		var part []byte
-		var err error
-		switch algName {
-		case "tcomp32":
-			part, err = DecompressTcomp32(seg.Compressed, seg.BitLen, seg.OrigLen)
-		case "tdic32":
-			part, err = DecompressTdic32(seg.Compressed, seg.BitLen, seg.OrigLen)
-		case "lz4":
-			part, err = DecompressLZ4(seg.Compressed, seg.OrigLen)
-		case "delta32":
-			part, err = DecompressDelta32(seg.Compressed, seg.BitLen, seg.OrigLen)
-		case "rle32":
-			part, err = DecompressRLE32(seg.Compressed, seg.BitLen, seg.OrigLen)
-		case "huff8":
-			part, err = DecompressHuff8(seg.Compressed, seg.BitLen, seg.OrigLen)
-		default:
-			return nil, fmt.Errorf("compress: unknown algorithm %q", algName)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("segment %d: %w", seg.SliceIndex, err)
-		}
-		out = append(out, part...)
-	}
-	return out, nil
-}

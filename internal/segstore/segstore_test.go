@@ -156,6 +156,45 @@ func TestStoreRoundTripAndRotation(t *testing.T) {
 	}
 }
 
+// TestStoredBatchDecodeInconsistentSegment stores a CRC-valid record whose
+// segment claims one bit more than its bytes hold. Reading it back works,
+// and Decode returns an error where it used to panic in the bit reader.
+func TestStoredBatchDecodeInconsistentSegment(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Algorithm: "tcomp32"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, res := testBatch(t, "tcomp32", 0, 4096)
+	bad := &compress.PipelineResult{InputBytes: res.InputBytes, TotalBits: res.TotalBits + 1,
+		Segments: append([]compress.Segment(nil), res.Segments...)}
+	last := &bad.Segments[len(bad.Segments)-1]
+	last.BitLen = uint64(len(last.Compressed))*8 + 1
+	if err := st.AppendResult(0, 0, bad); err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := SegmentFiles(dir)
+	if err != nil || len(files) != 1 {
+		t.Fatalf("segment files = %v (%v), want 1", files, err)
+	}
+	seg, err := OpenSegment(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	b, err := seg.ReadBatch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := b.Decode(); err == nil {
+		t.Fatalf("decoded %d bytes from a segment with more bits than bytes", len(out))
+	}
+}
+
 // TestStoreReadsMultiSliceBatches is the compatibility check for the slice
 // rule: a 4 KiB batch is now cut into one slice, but records written before
 // it carry twelve. A store holding both kinds reads each back segment for

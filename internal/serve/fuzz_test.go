@@ -14,8 +14,9 @@ import (
 // frame ReadFrame accepts survives a WriteFrame→ReadFrame round trip intact,
 // and the pooled ReadFrameInto agrees with ReadFrame on every input.
 // The checked-in seed corpus (testdata/fuzz/FuzzFrameCodec) covers the
-// boundary cases — oversized, undersized, truncated, zero-length, valid — and
-// replays on every plain `go test` run.
+// boundary cases — oversized, undersized, truncated, zero-length, valid, and
+// a result frame whose segment count its payload cannot hold — and replays
+// on every plain `go test` run.
 func FuzzFrameCodec(f *testing.F) {
 	// A well-formed Data frame, built by the real encoder.
 	var valid bytes.Buffer
@@ -23,10 +24,10 @@ func FuzzFrameCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid.Bytes())
-	f.Add([]byte{})                          // zero-length input: clean io.EOF
-	f.Add([]byte{0x00, 0x80})                // torn length prefix
-	f.Add([]byte{0x00, 0x80, 0x00, 0x01})    // length > MaxFrameBytes
-	f.Add([]byte{0x00, 0x00, 0x00, 0x02})    // length < frameOverhead
+	f.Add([]byte{})                                         // zero-length input: clean io.EOF
+	f.Add([]byte{0x00, 0x80})                               // torn length prefix
+	f.Add([]byte{0x00, 0x80, 0x00, 0x01})                   // length > MaxFrameBytes
+	f.Add([]byte{0x00, 0x00, 0x00, 0x02})                   // length < frameOverhead
 	f.Add([]byte{0x00, 0x00, 0x00, 0x0a, 0x04, 0x00, 0x00}) // truncated body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -68,6 +69,14 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 		if len(fr.Payload) > MaxFrameBytes-frameOverhead {
 			t.Fatalf("accepted payload of %d bytes, above the %d cap", len(fr.Payload), MaxFrameBytes-frameOverhead)
+		}
+		if fr.Type == FrameResult {
+			// A result payload decodes or is refused as truncated, whatever
+			// its counts claim.
+			var r Result
+			if err := decodeResultInto(&r, "tcomp32", fr.Payload); err != nil && !errors.Is(err, errTruncatedResult) {
+				t.Fatalf("undocumented result decode error: %v", err)
+			}
 		}
 
 		// Round trip: re-encoding an accepted frame and decoding it again

@@ -470,6 +470,11 @@ func decodeResultInto(r *Result, algorithm string, p []byte) error {
 	r.TotalBits = 0
 	nsegs := int(binary.BigEndian.Uint32(p[29:33]))
 	p = p[resultFixedLen:]
+	// Each segment takes segMetaLen bytes of metadata, so a count the
+	// payload cannot hold is refused before the segment slice grows.
+	if nsegs > len(p)/segMetaLen {
+		return errTruncatedResult
+	}
 	if cap(r.Segments) < nsegs {
 		grown := make([]compress.Segment, nsegs)
 		// Carry the old segments over so their Compressed buffers keep

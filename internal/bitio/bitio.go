@@ -198,6 +198,34 @@ func (r *Reader) readBitsSlow(n uint) (uint64, error) {
 	return v, nil
 }
 
+// Peek returns the bits from the cursor on, LSB-first, without consuming
+// them: at least the low 57 are the buffer's, and bits past the end of the
+// buffer read as zero. A decoder reads a token of up to 57 bits from it and
+// consumes the token with Skip, which checks it against the readable bits.
+func (r *Reader) Peek() uint64 {
+	i := r.pos >> 3
+	if i+8 <= uint64(len(r.buf)) {
+		return binary.LittleEndian.Uint64(r.buf[i:]) >> (r.pos & 7)
+	}
+	return r.peekSlow()
+}
+
+// peekSlow is Peek within 8 bytes of the end of the buffer.
+func (r *Reader) peekSlow() uint64 {
+	var w [8]byte
+	copy(w[:], r.buf[r.pos>>3:])
+	return binary.LittleEndian.Uint64(w[:]) >> (r.pos & 7)
+}
+
+// Skip consumes n bits as ReadBits(n) would, without returning them.
+func (r *Reader) Skip(n uint) error {
+	if r.pos+uint64(n) > r.nBit {
+		return ErrUnexpectedEOF
+	}
+	r.pos += uint64(n)
+	return nil
+}
+
 // ReadBit reads a single bit.
 func (r *Reader) ReadBit() (bool, error) {
 	if r.pos >= r.nBit {

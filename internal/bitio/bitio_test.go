@@ -154,6 +154,27 @@ func TestReaderEOF(t *testing.T) {
 	}
 }
 
+func TestPeekSkip(t *testing.T) {
+	r := NewReaderBits([]byte{0xAB, 0xCD, 0xEF}, 20)
+	if err := r.Skip(4); err != nil {
+		t.Fatal(err)
+	}
+	// Within 8 bytes of the end the window is zero-padded past the buffer.
+	if got := r.Peek(); got != 0xEFCDAB>>4 {
+		t.Fatalf("Peek = %#x, want %#x", got, 0xEFCDAB>>4)
+	}
+	// Skip past the readable bits fails and leaves the cursor alone.
+	if err := r.Skip(17); err != ErrUnexpectedEOF {
+		t.Fatalf("Skip past the limit: %v, want ErrUnexpectedEOF", err)
+	}
+	if err := r.Skip(16); err != nil || r.Remaining() != 0 {
+		t.Fatalf("Skip(16) = %v with %d bits left, want nil and 0", err, r.Remaining())
+	}
+	if got := r.Peek(); got != 0xE {
+		t.Fatalf("Peek at the limit = %#x, want the unread buffer bits 0xe", got)
+	}
+}
+
 func TestReset(t *testing.T) {
 	w := NewWriter(4)
 	w.WriteBits(0xABCD, 16)

@@ -89,8 +89,10 @@ func FuzzBitioWordVsReference(f *testing.F) {
 
 		// Read the stream back through both readers with the same op widths,
 		// plus one extra read past the end to check EOF agreement.
+		// A third reader takes each read of up to 57 bits as Peek then Skip.
 		r := NewReaderBits(want, ref.BitLen())
 		rr := NewReferenceReaderBits(want, ref.BitLen())
+		pr := NewReaderBits(want, ref.BitLen())
 		for i, op := range ops {
 			n := op.n
 			if op.isBytes {
@@ -109,6 +111,13 @@ func FuzzBitioWordVsReference(f *testing.F) {
 			}
 			if v1 != v2 {
 				t.Fatalf("op %d: ReadBits(%d) mismatch: word=%#x reference=%#x", i, n, v1, v2)
+			}
+			if n <= 57 {
+				if v3, err3 := pr.Peek()&(1<<n-1), pr.Skip(n); err3 != nil || v3 != v2 {
+					t.Fatalf("op %d: Peek/Skip(%d) = %#x, %v, want %#x", i, n, v3, err3, v2)
+				}
+			} else if _, err := pr.ReadBits(n); err != nil {
+				t.Fatalf("op %d: ReadBits(%d) after Peek/Skip: %v", i, n, err)
 			}
 		}
 		// Drain any remainder one bit at a time (slow-path tail coverage).

@@ -14,7 +14,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -625,12 +624,12 @@ func BenchmarkServeIngestSerial(b *testing.B) { benchServeIngest(b, 1, 1) }
 func BenchmarkServeIngest(b *testing.B) { benchServeIngest(b, 8, 64) }
 
 // BenchmarkServeOpenCold measures cold session opens over loopback: each
-// iteration builds a fresh four-shard server and opens every algorithm at
-// 4 KiB and 16 KiB under silver and bronze until each shard has planned the
-// shape, closing every session again. Each open names its own tenant so the
-// ring spreads them; the open sequence, and so the work, is the same every
-// iteration. The benchdiff gate pins its allocs/op, which count the
-// profiling and planning a cold open pays.
+// iteration builds a fresh four-shard server and, for every algorithm at
+// 4 KiB and 16 KiB under silver and bronze, holds four sessions open (one per
+// shard, since each open goes to the least-placed shard) and then closes
+// them, so every shard plans every shape once. The open sequence, and so the
+// work, is the same every iteration. The benchdiff gate pins its allocs/op,
+// which count the profiling and planning a cold open pays.
 //
 // Client and server goroutines share sync.Pools, so how their Gets and Puts
 // interleave moves the allocation count by a few per iteration. One P, no
@@ -656,22 +655,21 @@ func BenchmarkServeOpenCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opens := 0
 		for _, slo := range []string{"silver", "bronze"} {
 			for _, alg := range algorithms {
 				for _, batchBytes := range []int{4 << 10, 16 << 10} {
-					var seen [4]bool
-					for covered := 0; covered < len(seen); opens++ {
-						sess, err := c.Open(serve.OpenRequest{
-							Tenant: "t" + strconv.Itoa(opens), Algorithm: alg, SLO: slo, BatchBytes: batchBytes,
-						})
+					var held [4]*serve.ClientSession
+					for sh := range held {
+						sess, err := c.Open(serve.OpenRequest{Tenant: "t", Algorithm: alg, SLO: slo, BatchBytes: batchBytes})
 						if err != nil {
 							b.Fatal(err)
 						}
-						if sh := sess.Reply().Shard; !seen[sh] {
-							seen[sh] = true
-							covered++
+						if got := sess.Reply().Shard; got != sh {
+							b.Fatalf("open %d of %s/%d/%s placed on shard %d", sh, alg, batchBytes, slo, got)
 						}
+						held[sh] = sess
+					}
+					for _, sess := range held {
 						if err := sess.Close(); err != nil {
 							b.Fatal(err)
 						}

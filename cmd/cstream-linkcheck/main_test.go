@@ -9,9 +9,9 @@ import (
 
 func TestSlugify(t *testing.T) {
 	cases := map[string]string{
-		"Observability":                               "observability",
-		"Static analysis & invariants (cstream-vet)":  "static-analysis--invariants-cstream-vet",
-		"Reproducing Table IV from the decision log":  "reproducing-table-iv-from-the-decision-log",
+		"Observability": "observability",
+		"Static analysis & invariants (cstream-vet)": "static-analysis--invariants-cstream-vet",
+		"Reproducing Table IV from the decision log": "reproducing-table-iv-from-the-decision-log",
 		"HTTP surface":                                "http-surface",
 		"Recipe: reading a CLCV regression":           "recipe-reading-a-clcv-regression",
 		"`code` and **bold** text":                    "code-and-bold-text",

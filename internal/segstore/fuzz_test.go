@@ -49,11 +49,11 @@ func fuzzSeedSegment(f *testing.F, checkpointEvery int) []byte {
 func FuzzSegmentFooter(f *testing.F) {
 	sealed := fuzzSeedSegment(f, 0)
 	f.Add(sealed)
-	f.Add(sealed[:len(sealed)-3])              // torn trailer
-	f.Add(sealed[:len(sealed)-trailerSize-2])  // torn footer frame
-	f.Add(fuzzSeedSegment(f, 2))               // checkpoint footer mid-stream
-	f.Add([]byte{})                            // empty file
-	f.Add(sealed[:headerSize])                 // header only, no frames
+	f.Add(sealed[:len(sealed)-3])             // torn trailer
+	f.Add(sealed[:len(sealed)-trailerSize-2]) // torn footer frame
+	f.Add(fuzzSeedSegment(f, 2))              // checkpoint footer mid-stream
+	f.Add([]byte{})                           // empty file
+	f.Add(sealed[:headerSize])                // header only, no frames
 
 	// A sealed segment whose trailer points one byte past the real footer:
 	// sealedIndex must reject it and the scan must still recover the batches.

@@ -36,35 +36,24 @@ func newMemoServer(t *testing.T) *Server {
 // memo returns the server's profile memo (every shard holds the same one).
 func (s *Server) memo() *profileMemo { return s.shards[0].profiles }
 
-// openEverywhere opens (and detaches) sessions of one shape and class until
-// every shard has planned it, so each shard's deployment for the shape
-// exists. Each open names its own tenant: the ring hashes "tenant/seq", and
-// consecutive sequence numbers of one tenant cluster on a few arcs.
+// openEverywhere holds one session of the shape and class open per shard, so
+// placement puts one on every shard and each shard plans the shape, then
+// finishes them all.
 func openEverywhere(t *testing.T, s *Server, shape profileKey, slo string) {
 	t.Helper()
-	class, _ := s.lookupSLO(slo)
-	key := depKey{algorithm: shape.algorithm, batchBytes: shape.batchBytes, lset: class.LSetUSPerByte}
-	for tries := 0; tries < 256; tries++ {
-		planned := 0
-		for _, sh := range s.shards {
-			sh.mu.Lock()
-			if _, ok := sh.deps[key]; ok {
-				planned++
-			}
-			sh.mu.Unlock()
-		}
-		if planned == len(s.shards) {
-			return
-		}
-		sess, _, reason, err := s.openSession(uint32(tries), OpenRequest{
-			Tenant: fmt.Sprintf("memo-%d", tries), Algorithm: shape.algorithm, SLO: slo, BatchBytes: shape.batchBytes,
+	held := make([]*session, len(s.shards))
+	for i := range held {
+		sess, _, reason, err := s.openSession(uint32(i), OpenRequest{
+			Tenant: "memo", Algorithm: shape.algorithm, SLO: slo, BatchBytes: shape.batchBytes,
 		})
 		if err != nil || reason != "" {
 			t.Fatalf("open %v %s: err %v, shed %q", shape, slo, err, reason)
 		}
+		held[i] = sess
+	}
+	for _, sess := range held {
 		s.finishSession(sess)
 	}
-	t.Fatalf("%v %s: not planned on every shard after 256 opens", shape, slo)
 }
 
 // deploymentOf returns shard sh's planned deployment for the shape.

@@ -1,7 +1,8 @@
 // Package serve is the multi-tenant network front-end of the CStream
 // reproduction: a length-prefixed, session-multiplexed TCP ingest protocol
-// feeding consistent-hash-sharded multi-stream runtimes, with per-tenant
-// admission control and an HTTP control/metrics plane.
+// feeding sharded multi-stream runtimes, each session placed on the shard
+// holding the fewest, with per-tenant admission control and an HTTP
+// control/metrics plane.
 //
 // Many logical compression sessions share one TCP connection — every frame
 // carries a session ID — so tens of thousands of concurrent sessions fit in

@@ -102,7 +102,7 @@ func TestServeRoundTrip(t *testing.T) {
 	if got := reg.Counter(serve.MetricBytesIn).Value(); got != 3*batchBytes {
 		t.Fatalf("bytes_in counter = %d", got)
 	}
-	if reg.Counter(serve.MetricTenantPrefix + "acme" + serve.TenantSuffixBatches).Value() != 3 {
+	if reg.Counter(serve.MetricTenantPrefix+"acme"+serve.TenantSuffixBatches).Value() != 3 {
 		t.Fatal("tenant batch counter missing")
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/stream"
 )
 
-var updateVectors = flag.Bool("update", false, "rewrite testdata/kernel_vectors.txt")
+var updateVectors = flag.Bool("update", false, "rewrite testdata/kernel_vectors.txt and testdata/kernel_costs.txt")
 
 // vectorInputs is the format-stability corpus: lzevil's edge lengths (empty,
 // sub-word, one word, word plus one byte), a zero run, seeded noise, and
@@ -63,9 +63,43 @@ func TestKernelVectors(t *testing.T) {
 			fmt.Fprintf(&got, "%s %s %d %d %x\n", alg.Name(), in.name, len(res.Compressed), res.BitLen, sha256.Sum256(res.Compressed))
 		}
 	}
-	path := filepath.Join("testdata", "kernel_vectors.txt")
+	checkGolden(t, filepath.Join("testdata", "kernel_vectors.txt"), got.String())
+}
+
+// TestKernelCostVectors pins every kernel's counted costs on the same
+// corpus: each step's Instructions and MemAccesses as exact hex floats, and
+// its OutBytes. Each input is compressed twice by one session, so the
+// second line covers the dictionary and predecessor a stateful kernel
+// carries over. The simulator, the plans and the energy figures all read
+// these tallies, so a rewrite of a kernel's loop must leave every bit of
+// them unchanged. Regenerate only for a deliberate cost-model change:
+//
+//	go test ./internal/compress -run TestKernelCostVectors -update
+func TestKernelCostVectors(t *testing.T) {
+	var got strings.Builder
+	for _, alg := range append(All(), Extensions()...) {
+		for _, in := range vectorInputs() {
+			sess := alg.NewSession()
+			for batch := 0; batch < 2; batch++ {
+				res := sess.CompressBatchReuse(stream.NewBatchBytes(batch, in.data))
+				fmt.Fprintf(&got, "%s %s %d", alg.Name(), in.name, batch)
+				for _, k := range alg.Steps() {
+					st := res.Steps[k]
+					fmt.Fprintf(&got, " %x %x %d", st.Cost.Instructions, st.Cost.MemAccesses, st.OutBytes)
+				}
+				got.WriteByte('\n')
+			}
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "kernel_costs.txt"), got.String())
+}
+
+// checkGolden compares got line by line with the golden file at path,
+// rewriting the file first under -update.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateVectors {
-		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +108,7 @@ func TestKernelVectors(t *testing.T) {
 		t.Fatalf("read vectors (run with -update to create): %v", err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	have := strings.Split(strings.TrimSuffix(got.String(), "\n"), "\n")
+	have := strings.Split(strings.TrimSuffix(got, "\n"), "\n")
 	if len(have) != len(want) {
 		t.Fatalf("%d vectors, golden file has %d", len(have), len(want))
 	}

@@ -7,9 +7,10 @@
 //
 // Both sides operate a word at a time: the writer gathers bits in a 64-bit
 // accumulator and flushes whole little-endian words, the reader loads 8-byte
-// windows and shifts. ReferenceWriter/ReferenceReader keep the original
-// per-byte implementation for differential fuzzing (FuzzBitioWordVsReference);
-// the two must stay bit-exactly interchangeable.
+// windows and shifts. A kernel's hot loop keeps the accumulator in its own
+// locals through Writer.Stage. The tests keep the original per-byte
+// implementation as the oracle for differential fuzzing
+// (FuzzBitioWordVsReference); the two must stay bit-exactly interchangeable.
 package bitio
 
 import (
@@ -61,6 +62,32 @@ func (w *Writer) WriteBits(v uint64, n uint) {
 			w.acc = v >> (n - w.nAcc)
 		}
 	}
+}
+
+// Stage is WriteBits for a hot loop that keeps the pending word in its own
+// locals: it ORs tok onto acc, which holds n < 64 staged bits, and returns
+// the new word and count. When 64 bits fill, Stage appends the whole word
+// little-endian and keeps the carry bits staged. A staged run starts from
+// acc, n = 0, 0 and ends with one WriteBits(acc, n). Stage inlines, so acc
+// and n stay in registers across the loop rather than going through the
+// writer on every token.
+//
+// Stage checks nothing. Its preconditions are:
+//   - tok < 1<<k: no bit of tok is set at or above k;
+//   - k ≤ 64;
+//   - the writer has no pending bits when the staged run starts, as after
+//     Reset, since Stage appends to the buffer directly.
+func (w *Writer) Stage(acc uint64, n uint, tok uint64, k uint) (uint64, uint) {
+	acc |= tok << n
+	n += k
+	if n >= 64 {
+		w.buf = binary.LittleEndian.AppendUint64(w.buf, acc)
+		n -= 64
+		// The shift count is 64 minus the old n, in [1, 64]; at 64 (no
+		// carry) Go's shift yields 0.
+		acc = tok >> (k - n)
+	}
+	return acc, n
 }
 
 // WriteBit appends a single bit.

@@ -90,11 +90,12 @@ func (s *delta32Session) CompressBatch(b *stream.Batch) *Result {
 // CompressBatchReuse implements Session: the fused zero-allocation path.
 //
 // As in tcomp32, the width indicator and delta concatenate into one ≤37-bit
-// WriteBits token, and every exactly-representable cost tally (integers,
-// multiples of 1/8 — including s4's 3.0-based memory term) is accumulated as
-// an integer and converted once, bit-identical to the original sequential
-// sums. The inexact constants (dl32DeltaMem, dl32UpdateMem, dl32EncodeMem)
-// keep their per-word accumulation order.
+// token, staged through bitio.Writer.Stage with the pending word in locals,
+// and every exactly-representable cost tally (integers, multiples of 1/8 —
+// including s4's 3.0-based memory term) is accumulated as an integer and
+// converted once, bit-identical to the original sequential sums. The inexact
+// constants (dl32DeltaMem, dl32UpdateMem, dl32EncodeMem) keep their per-word
+// accumulation order.
 func (s *delta32Session) CompressBatchReuse(b *stream.Batch) *Result {
 	return s.compressBytes(b.Bytes())
 }
@@ -111,6 +112,7 @@ func (s *delta32Session) compressBytes(data []byte) *Result {
 	nWords := len(data) / 4
 	widthSum := 0
 	var preMem, updMem, encMem float64
+	acc, nAcc := uint64(0), uint(0)
 	for i := 0; i < nWords; i++ {
 		// s0 read, s1 zigzag delta, s2 predecessor update, s3 width scan,
 		// s4 combined width+delta token write.
@@ -125,8 +127,9 @@ func (s *delta32Session) compressBytes(data []byte) *Result {
 		}
 		widthSum += int(n)
 		encMem += dl32EncodeMem
-		w.WriteBits(uint64(n-1)|uint64(z)<<5, 5+n)
+		acc, nAcc = w.Stage(acc, nAcc, uint64(n-1)|uint64(z)<<5, 5+n)
 	}
+	w.WriteBits(acc, nAcc)
 	s.prev = prev
 
 	read := res.Steps[StepRead]

@@ -293,12 +293,11 @@ func (s *huff8Session) CompressBatch(b *stream.Batch) *Result {
 
 // CompressBatchReuse implements Session: the fused zero-allocation path.
 //
-// Each codeword is emitted as a single WriteBits of the bit-reversed code —
-// LSB-first packing of the reversed word puts the MSB of the codeword first,
-// exactly matching the original per-bit loop. The per-bit instruction tally
-// (22·l, all-integer partial sums) is batched into one product; the write
-// memory term keeps its per-byte accumulation order because h8WriteMemBase
-// is not exactly representable.
+// The header's 5-bit lengths and then one token per input byte are staged
+// through bitio.Writer.Stage with the pending word in locals. The per-bit
+// instruction tally (22·l, all-integer partial sums) is batched into one
+// product; the write memory term keeps its per-byte accumulation order
+// because h8WriteMemBase is not exactly representable.
 func (s *huff8Session) CompressBatchReuse(b *stream.Batch) *Result {
 	return s.compressBytes(b.Bytes())
 }
@@ -331,22 +330,29 @@ func (s *huff8Session) compressBytes(data []byte) *Result {
 	enc.Cost.Instructions += h8TreeInstr * float64(distinct)
 	enc.Cost.MemAccesses += h8TreeMem * float64(distinct)
 
+	// A byte's token is its bit-reversed codeword: LSB-first packing then
+	// emits the codeword MSB-first, exactly as the original per-bit loop
+	// did. Each codeword is reversed once per table, not once per byte.
 	codes := canonicalCodes(&lengths)
+	var rev [256]uint32
+	for c, l := range lengths {
+		rev[c] = bits.Reverse32(codes[c]) >> (32 - l)
+	}
 	w := &s.w
 	w.Reset()
+	acc, nAcc := uint64(0), uint(0)
 	for _, l := range lengths {
-		w.WriteBits(uint64(l), 5)
+		acc, nAcc = w.Stage(acc, nAcc, uint64(l), 5)
 	}
 	bitSum := 0
 	wrMem := 0.0
 	for _, c := range data {
 		l := uint(lengths[c])
-		// MSB-first emission of the canonical codeword as one token.
-		rev := bits.Reverse32(codes[c]) >> (32 - l)
-		w.WriteBits(uint64(rev), l)
+		acc, nAcc = w.Stage(acc, nAcc, uint64(rev[c]), l)
 		bitSum += int(l)
 		wrMem += h8WriteMemBase + float64(l)/8
 	}
+	w.WriteBits(acc, nAcc)
 	wr.Cost.Instructions = h8WriteInstrPerBit * float64(bitSum)
 	wr.Cost.MemAccesses = wrMem
 

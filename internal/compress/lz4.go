@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/stream"
 )
@@ -95,8 +96,12 @@ func (s *lz4Session) CompressBatch(b *stream.Batch) *Result {
 // CompressBatchReuse implements Session: the zero-steady-state-allocation
 // path. The output block is built in the session-owned dst buffer, which
 // grows to the working-set size on the first call and is reused afterwards.
-// The cost accounting is untouched — every float accumulation keeps its
-// original order.
+//
+// The loop counts events (probes, matched bytes, literal bytes, sequences)
+// and the cost tallies are the counts times the constants, once per call.
+// Every lz4 constant is a multiple of 1/4 and every partial sum stays far
+// below 2^51, so the per-event float sums this replaces were exact and the
+// products give the same Cost bits.
 func (s *lz4Session) CompressBatchReuse(b *stream.Batch) *Result {
 	return s.compressBytes(b.Bytes())
 }
@@ -106,20 +111,6 @@ func (s *lz4Session) CompressBatchReuse(b *stream.Batch) *Result {
 func (s *lz4Session) compressBytes(src []byte) *Result {
 	res := &s.res
 	resetResult(res, len(src))
-	read := res.Steps[StepRead]
-	pre := res.Steps[StepPreprocess]
-	upd := res.Steps[StepStateUpdate]
-	enc := res.Steps[StepStateEncode]
-	wr := res.Steps[StepWrite]
-
-	// s0 cost: every input byte enters the sliding buffer.
-	read.Cost.Instructions += lz4ReadInstr * float64(len(src))
-	read.Cost.MemAccesses += lz4ReadMem * float64(len(src))
-	// s2 window maintenance runs per input byte regardless of matches, so
-	// heavy matching (high vocabulary duplication) dilutes s2's probe work
-	// and lowers its operational intensity.
-	upd.Cost.Instructions += lz4WindowInstr * float64(len(src))
-	upd.Cost.MemAccesses += lz4WindowMem * float64(len(src))
 
 	// table holds position+1 per hash, 0 = empty. The empty uint64 field
 	// aligns it to 8 bytes so the per-call clear runs as whole-word stores:
@@ -134,67 +125,69 @@ func (s *lz4Session) compressBytes(src []byte) *Result {
 	}
 	dst := s.dst[:0]
 	litStart := 0
-	matchedBytes := 0
-	literalBytes := 0
+	probes := 0       // s1 hashes and s2 table probes, one per position tried
+	matches := 0      // probes that found a match
+	matchedBytes := 0 // s3 match extension, per matched byte
+	literalBytes := 0 // literals carried by the emitted sequences
 	sequences := 0
 
 	pos := 0
 	for pos+lz4MinMatch <= len(src) {
+		// s1: hash the newest 32 bits; s2: dictionary probe + update.
 		v := binary.LittleEndian.Uint32(src[pos:])
 		h := lz4Hash(v)
-		// s1: hash the newest 32 bits.
-		pre.Cost.Instructions += lz4HashInstr
-		pre.Cost.MemAccesses += lz4HashMem
-
-		// s2: dictionary probe + update.
 		cand := int(table.slot[h]) - 1
-		upd.Cost.Instructions += lz4TableReadInstr
-		upd.Cost.MemAccesses += lz4TableReadMem
 		table.slot[h] = int32(pos + 1)
-		upd.Cost.Instructions += lz4TableUpdateInstr
-		upd.Cost.MemAccesses += lz4TableUpdateMem
+		probes++
 
 		if cand >= 0 && pos-cand <= LZ4MaxSearch &&
 			binary.LittleEndian.Uint32(src[cand:]) == v {
 			// s3: expand the match forward ("backward searching" in the
 			// buffer relative to the stream head).
-			matchLen := lz4MinMatch
-			for pos+matchLen < len(src) && src[cand+matchLen] == src[pos+matchLen] {
-				matchLen++
-			}
-			enc.Cost.Instructions += lz4MatchByteInstr * float64(matchLen)
-			enc.Cost.MemAccesses += lz4MatchByteMem * float64(matchLen)
-
-			litLen := pos - litStart
-			enc.Cost.Instructions += lz4LiteralByteInstr * float64(litLen)
-			enc.Cost.MemAccesses += lz4LiteralByteMem * float64(litLen)
+			matchLen := lz4MatchLen(src, cand, pos)
 
 			// s4: emit the sequence token.
 			dst = appendLZ4Sequence(dst, src[litStart:pos], pos-cand, matchLen)
-			wr.Cost.Instructions += lz4WriteSeqInstr + lz4WriteLiteralInstr*float64(litLen)
-			wr.Cost.MemAccesses += lz4WriteSeqMem + lz4WriteLiteralMem*float64(litLen)
+			matches++
 			sequences++
 			matchedBytes += matchLen
-			literalBytes += litLen
+			literalBytes += pos - litStart
 
 			pos += matchLen
 			litStart = pos
 			continue
 		}
-		// Literal position.
-		enc.Cost.Instructions += lz4LiteralByteInstr
-		enc.Cost.MemAccesses += lz4LiteralByteMem
 		pos++
 	}
 	// Final literals-only sequence.
-	tailLit := len(src) - litStart
-	enc.Cost.Instructions += lz4LiteralByteInstr * float64(tailLit)
-	enc.Cost.MemAccesses += lz4LiteralByteMem * float64(tailLit)
 	dst = appendLZ4Sequence(dst, src[litStart:], 0, 0)
-	wr.Cost.Instructions += lz4WriteSeqInstr + lz4WriteLiteralInstr*float64(tailLit)
-	wr.Cost.MemAccesses += lz4WriteSeqMem + lz4WriteLiteralMem*float64(tailLit)
 	sequences++
-	literalBytes += tailLit
+	literalBytes += len(src) - litStart
+
+	read := &res.Steps[StepRead]
+	pre := &res.Steps[StepPreprocess]
+	upd := &res.Steps[StepStateUpdate]
+	enc := &res.Steps[StepStateEncode]
+	wr := &res.Steps[StepWrite]
+	fn := float64(len(src))
+	fp := float64(probes)
+	// s3 tallies each literal twice: once at the position that found no
+	// match, and once in the sequence that carries it.
+	flit := float64(probes-matches) + float64(literalBytes)
+	// s0: every input byte enters the sliding buffer.
+	read.Cost.Instructions = lz4ReadInstr * fn
+	read.Cost.MemAccesses = lz4ReadMem * fn
+	pre.Cost.Instructions = lz4HashInstr * fp
+	pre.Cost.MemAccesses = lz4HashMem * fp
+	// s2 window maintenance runs per input byte regardless of matches, so
+	// heavy matching (high vocabulary duplication) dilutes s2's probe work
+	// and lowers its operational intensity.
+	upd.Cost.Instructions = lz4WindowInstr*fn + (lz4TableReadInstr+lz4TableUpdateInstr)*fp
+	upd.Cost.MemAccesses = lz4WindowMem*fn + (lz4TableReadMem+lz4TableUpdateMem)*fp
+	enc.Cost.Instructions = lz4MatchByteInstr*float64(matchedBytes) + lz4LiteralByteInstr*flit
+	enc.Cost.MemAccesses = lz4MatchByteMem*float64(matchedBytes) + lz4LiteralByteMem*flit
+	wr.Cost.Instructions = lz4WriteSeqInstr*float64(sequences) + lz4WriteLiteralInstr*float64(literalBytes)
+	wr.Cost.MemAccesses = lz4WriteSeqMem*float64(sequences) + lz4WriteLiteralMem*float64(literalBytes)
 
 	s.dst = dst // keep any growth for the next call
 	res.Compressed = dst
@@ -204,12 +197,25 @@ func (s *lz4Session) compressBytes(src []byte) *Result {
 	upd.OutBytes = len(src)
 	enc.OutBytes = literalBytes + sequences*8
 	wr.OutBytes = len(dst)
-	res.Steps[StepRead] = read
-	res.Steps[StepPreprocess] = pre
-	res.Steps[StepStateUpdate] = upd
-	res.Steps[StepStateEncode] = enc
-	res.Steps[StepWrite] = wr
 	return res
+}
+
+// lz4MatchLen returns how many bytes of src from pos equal those from cand,
+// given that the first lz4MinMatch do. It compares 8 bytes at a time while
+// a whole word remains: the lowest set bit of the XOR of the two words is
+// in the first byte that differs.
+func lz4MatchLen(src []byte, cand, pos int) int {
+	n := lz4MinMatch
+	for pos+n+8 <= len(src) {
+		if x := binary.LittleEndian.Uint64(src[pos+n:]) ^ binary.LittleEndian.Uint64(src[cand+n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)>>3
+		}
+		n += 8
+	}
+	for pos+n < len(src) && src[cand+n] == src[pos+n] {
+		n++
+	}
+	return n
 }
 
 // appendLZ4Sequence emits one sequence. A zero matchLen marks the

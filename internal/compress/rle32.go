@@ -65,10 +65,11 @@ func (s *rle32Session) CompressBatch(b *stream.Batch) *Result {
 // CompressBatchReuse implements Session: the fused zero-allocation path.
 //
 // Each run's 6-bit length and 32-bit symbol concatenate into one 38-bit
-// WriteBits token. Integer tallies replace the exactly-representable cost
-// sums (every partial sum is an integer or multiple of 0.5); only the scan
-// memory term keeps its per-run float accumulation, since rle32ScanMem is
-// not exactly representable.
+// token, staged through bitio.Writer.Stage with the pending word in locals.
+// Integer tallies replace the exactly-representable cost sums (every partial
+// sum is an integer or multiple of 0.5); only the scan memory term keeps its
+// per-run float accumulation, since rle32ScanMem is not exactly
+// representable.
 func (s *rle32Session) CompressBatchReuse(b *stream.Batch) *Result {
 	return s.compressBytes(b.Bytes())
 }
@@ -84,6 +85,7 @@ func (s *rle32Session) compressBytes(data []byte) *Result {
 	nWords := len(data) / 4
 	runs := 0
 	encMem := 0.0
+	acc, nAcc := uint64(0), uint(0)
 	i := 0
 	for i < nWords {
 		// s0: read the run's head symbol; s1: scan forward while it repeats.
@@ -97,11 +99,12 @@ func (s *rle32Session) compressBytes(data []byte) *Result {
 		encMem += rle32ScanMem * float64(runLen)
 
 		// s2: emit 6-bit run length + 32-bit symbol as one token.
-		w.WriteBits(uint64(runLen-1)|uint64(v)<<6, 38)
+		acc, nAcc = w.Stage(acc, nAcc, uint64(runLen-1)|uint64(v)<<6, 38)
 
 		runs++
 		i += runLen
 	}
+	w.WriteBits(acc, nAcc)
 
 	read := res.Steps[StepRead]
 	enc := res.Steps[StepEncode]

@@ -70,15 +70,16 @@ func (s *tcomp32Session) CompressBatch(b *stream.Batch) *Result {
 
 // CompressBatchReuse implements Session: the fused zero-allocation path.
 //
-// The hot loop is a single combined WriteBits per symbol (the 5-bit length
-// indicator and the n-bit symbol concatenate LSB-first into one ≤37-bit
-// token) plus one float accumulation. Cost fields whose per-word addends are
-// exactly representable (integers and multiples of 1/8) are tallied as
-// integers and converted once — the sequential float sums they replace are
-// exact at every partial sum, so the resulting Cost bits are identical to
-// the original per-word accumulation. Only s2's memory tally keeps the
-// per-word float add: tc32WriteMemBase is not exactly representable, so its
-// rounding sequence must be preserved.
+// The hot loop stages one token per symbol through bitio.Writer.Stage, with
+// the pending word in locals (the 5-bit length indicator and the n-bit
+// symbol concatenate LSB-first into one ≤37-bit token), plus one float
+// accumulation. Cost fields whose per-word addends are exactly representable
+// (integers and multiples of 1/8) are tallied as integers and converted once
+// — the sequential float sums they replace are exact at every partial sum,
+// so the resulting Cost bits are identical to the original per-word
+// accumulation. Only s2's memory tally keeps the per-word float add:
+// tc32WriteMemBase is not exactly representable, so its rounding sequence
+// must be preserved.
 func (s *tcomp32Session) CompressBatchReuse(b *stream.Batch) *Result {
 	return s.compressBytes(b.Bytes())
 }
@@ -94,14 +95,16 @@ func (s *tcomp32Session) compressBytes(data []byte) *Result {
 	nWords := len(data) / 4
 	widthSum := 0
 	wrMem := 0.0
+	acc, nAcc := uint64(0), uint(0)
 	for i := 0; i < nWords; i++ {
 		// s0 read, s1 significant-width scan, s2 token write.
 		v := binary.LittleEndian.Uint32(data[i*4:])
 		n := symbolWidth(v)
 		widthSum += int(n)
-		w.WriteBits(uint64(n-1)|uint64(v)<<5, 5+n)
+		acc, nAcc = w.Stage(acc, nAcc, uint64(n-1)|uint64(v)<<5, 5+n)
 		wrMem += tc32WriteMemBase + float64(5+n)/8
 	}
+	w.WriteBits(acc, nAcc)
 
 	read := res.Steps[StepRead]
 	enc := res.Steps[StepEncode]

@@ -97,12 +97,14 @@ func (s *tdic32Session) CompressBatch(b *stream.Batch) *Result {
 
 // CompressBatchReuse implements Session: the fused zero-allocation path.
 //
-// Integer-valued cost tallies (instruction counts, the exact 2.5/2.0
-// per-word memory terms) are accumulated as integers and converted once —
-// bit-identical to the original sequential float adds, whose partial sums
-// are all exactly representable. The inexact constants (td32HashMem,
-// td32TableUpdateMem, td32EncodeMem, td32WriteMemBase) keep their original
-// per-word accumulation order so their rounding sequence is preserved.
+// Each symbol's hit or miss token is staged through bitio.Writer.Stage with
+// the pending word in locals. Integer-valued cost tallies (instruction
+// counts, the exact 2.5/2.0 per-word memory terms) are accumulated as
+// integers and converted once — bit-identical to the original sequential
+// float adds, whose partial sums are all exactly representable. The inexact
+// constants (td32HashMem, td32TableUpdateMem, td32EncodeMem,
+// td32WriteMemBase) keep their original per-word accumulation order so their
+// rounding sequence is preserved.
 func (s *tdic32Session) CompressBatchReuse(b *stream.Batch) *Result {
 	return s.compressBytes(b.Bytes())
 }
@@ -119,6 +121,7 @@ func (s *tdic32Session) compressBytes(data []byte) *Result {
 	misses := 0
 	nbitsSum := 0
 	var preMem, updMem, encMem, wrMem float64
+	acc, nAcc := uint64(0), uint(0)
 	for i := 0; i < nWords; i++ {
 		// s0: read the 32-bit symbol.
 		v := binary.LittleEndian.Uint32(data[i*4:])
@@ -148,10 +151,11 @@ func (s *tdic32Session) compressBytes(data []byte) *Result {
 			nbits = 33
 		}
 		encMem += td32EncodeMem
-		w.WriteBits(encoded, nbits)
+		acc, nAcc = w.Stage(acc, nAcc, encoded, nbits)
 		nbitsSum += int(nbits)
 		wrMem += td32WriteMemBase + float64(nbits)/8
 	}
+	w.WriteBits(acc, nAcc)
 
 	read := res.Steps[StepRead]
 	pre := res.Steps[StepPreprocess]

@@ -10,10 +10,10 @@ import (
 
 // fuzzSeedSegment builds a real sealed segment through the Store so the fuzzer
 // starts from bytes the writer actually produces, not an approximation.
-func fuzzSeedSegment(f *testing.F, checkpointEvery int) []byte {
+func fuzzSeedSegment(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	st, err := Open(dir, Options{Algorithm: "delta32", Rotate: RotatePolicy{CheckpointEvery: checkpointEvery}})
+	st, err := Open(dir, Options{Algorithm: "delta32"})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -42,16 +42,21 @@ func fuzzSeedSegment(f *testing.F, checkpointEvery int) []byte {
 // frame parsing — and checks the recovery invariants hold for any input: no
 // panic, no index entry outside the file, the valid prefix re-scans cleanly
 // (recovery converges instead of truncating again on reopen), and the real
-// OpenSegment on the same bytes never crashes. Seeds cover writer-produced
-// sealed segments (with and without checkpoint footers), torn tails, a lying
-// footer count with a recomputed CRC, and the hostile handcrafted corpus in
+// OpenSegment on the same bytes never crashes. Seeds cover a writer-produced
+// sealed segment, an older writer's segment with checkpoint footers
+// mid-stream (testdata/checkpointed), torn tails, a lying footer count with
+// a recomputed CRC, and the hostile handcrafted corpus in
 // testdata/fuzz/FuzzSegmentFooter.
 func FuzzSegmentFooter(f *testing.F) {
-	sealed := fuzzSeedSegment(f, 0)
+	sealed := fuzzSeedSegment(f)
+	checkpointed, err := os.ReadFile(filepath.Join("testdata", "checkpointed", segPrefix+"00000001"+segSuffix))
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(sealed)
 	f.Add(sealed[:len(sealed)-3])             // torn trailer
 	f.Add(sealed[:len(sealed)-trailerSize-2]) // torn footer frame
-	f.Add(fuzzSeedSegment(f, 2))              // checkpoint footer mid-stream
+	f.Add(checkpointed)                       // checkpoint footers mid-stream
 	f.Add([]byte{})                           // empty file
 	f.Add(sealed[:headerSize])                // header only, no frames
 

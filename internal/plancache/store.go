@@ -112,14 +112,6 @@ func (c *PlanCache) Stats() Stats {
 	}
 }
 
-// Purge empties the cache, keeping the counters.
-func (c *PlanCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	clear(c.items)
-}
-
 // Entries snapshots the cache contents as deep copies, ordered least- to
 // most-recently used, so that persisting and replaying them through Load in
 // order reproduces both the contents and the recency order.

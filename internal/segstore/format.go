@@ -14,10 +14,9 @@
 // trailer and carries a ".partial" suffix; sealing writes the footer index
 // (offset/timestamp per batch), fsyncs, and atomically renames the file to
 // its final name. Recovery scans a partial segment frame by frame from the
-// header (or from the last valid checkpoint footer, which re-anchors the
-// index), truncates the torn tail, and seals what survived. The full byte
-// layout, rotation semantics, and the operator runbook live in STORAGE.md at
-// the repository root.
+// header, rebuilds the index from the batch frames, truncates the torn tail,
+// and seals what survived. The full byte layout, rotation semantics, and the
+// operator runbook live in STORAGE.md at the repository root.
 package segstore
 
 import (
@@ -73,8 +72,8 @@ const (
 	// FrameBatch holds one compressed batch (all its segments).
 	FrameBatch = byte(0x10)
 	// FrameFooter holds the index of every batch frame before it. A sealed
-	// segment ends with one; a long-lived segment may also contain earlier
-	// checkpoint footers that re-anchor recovery.
+	// segment ends with one; a segment an older writer left may also hold
+	// earlier checkpoint footers, which the recovery scan skips.
 	FrameFooter = byte(0x11)
 )
 
@@ -212,9 +211,11 @@ type IndexEntry struct {
 	TimestampNanos int64
 }
 
-// appendFooterOnly encodes the index as a bare footer frame (a checkpoint:
-// no trailer, the segment stays active).
-func appendFooterOnly(buf []byte, index []IndexEntry) []byte {
+// appendFooterFrame encodes the index as a footer frame followed by the seal
+// trailer (footer offset + trailer magic). footerBase is the file offset of
+// buf[0], so the footer frame lands at footerBase+len(buf).
+func appendFooterFrame(buf []byte, footerBase int, index []IndexEntry) []byte {
+	footerOff := footerBase + len(buf)
 	buf, start := beginFrame(buf, FrameFooter, uint32(len(index)))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(index)))
 	for _, e := range index {
@@ -223,23 +224,9 @@ func appendFooterOnly(buf []byte, index []IndexEntry) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, e.InputBytes)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(e.TimestampNanos))
 	}
-	return endFrame(buf, start)
-}
-
-// appendTrailer appends the seal trailer pointing back at the footer frame
-// that starts at footerOff.
-func appendTrailer(buf []byte, footerOff int) []byte {
+	buf = endFrame(buf, start)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(footerOff))
 	return append(buf, trailerMagic[:]...)
-}
-
-// appendFooterFrame encodes the index as a footer frame followed by the seal
-// trailer (footer offset + trailer magic). footerBase is the file offset the
-// footer frame will land at (the caller's current write position).
-func appendFooterFrame(buf []byte, footerBase int, index []IndexEntry) []byte {
-	footerOff := footerBase + len(buf)
-	buf = appendFooterOnly(buf, index)
-	return appendTrailer(buf, footerOff)
 }
 
 // rawFrame is one frame located in a byte view of a segment.
@@ -387,16 +374,17 @@ type scanResult struct {
 	truncatedFrames int
 	// truncatedBytes counts the torn tail's length.
 	truncatedBytes int
-	// footerAt is the offset of the last valid footer frame, -1 if none.
+	// footerAt is the offset of the last valid footer frame, -1 if none;
+	// the scan uses it only to recognise a seal trailer.
 	footerAt int
 }
 
 // scanSegment walks data frame by frame after the header, validating each
 // CRC, and stops at the first invalid frame: everything before it is the
-// recovered segment, everything after is the torn tail. A valid checkpoint
-// footer re-anchors the index to its entries (frames before it were already
-// indexed when the footer was written, so the scan result matches the
-// writer's view even if batch frames and footers interleave).
+// recovered segment, everything after is the torn tail. The index comes from
+// the CRC-valid batch frames alone. A footer frame met on the way — a seal
+// torn before its trailer, or a checkpoint an older writer left — is
+// skipped: its entries are never trusted over the frames the scan has seen.
 func scanSegment(data []byte) (Header, scanResult, error) {
 	h, err := parseHeader(data)
 	if err != nil {
@@ -424,16 +412,6 @@ func scanSegment(data []byte) (Header, scanResult, error) {
 				TimestampNanos: int64(binary.BigEndian.Uint64(f.payload[0:8])),
 			})
 		case FrameFooter:
-			idx, err := parseFooterPayload(f)
-			if err == nil && !footerOffsetsValid(idx, f.off) {
-				err = ErrCorruptFrame
-			}
-			if err != nil {
-				res.truncatedFrames = 1
-				res.truncatedBytes = len(data) - res.validLen
-				return h, res, nil
-			}
-			res.index = idx
 			res.footerAt = f.off
 		default:
 			// An unknown kind with a valid CRC is not torn, it is foreign;

@@ -32,11 +32,6 @@ type RotatePolicy struct {
 	MaxSegmentBytes int64
 	// MaxSegmentBatches seals after this many batches; 0 means unbounded.
 	MaxSegmentBatches int
-	// CheckpointEvery writes an index checkpoint footer every N batches, so
-	// recovery of a long partial segment re-anchors at the last checkpoint
-	// instead of rebuilding the index purely from batch frames. 0 disables
-	// checkpoints (the only footer is the seal footer).
-	CheckpointEvery int
 }
 
 // DefaultMaxSegmentBytes is the rotation byte budget when the policy leaves
@@ -103,8 +98,8 @@ type Store struct {
 }
 
 // Open creates dir if needed, recovers and seals any partial segments a
-// previous process left behind (scanning from the last valid footer and
-// truncating torn tails), and starts a fresh active segment for appends.
+// previous process left behind (rebuilding each index from its batch frames
+// and truncating torn tails), and starts a fresh active segment for appends.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Algorithm == "" || len(opts.Algorithm) > algField {
 		return nil, fmt.Errorf("segstore: Options.Algorithm %q must be 1..%d bytes", opts.Algorithm, algField)
@@ -185,7 +180,7 @@ func (s *Store) recoverDir() error {
 			}
 			continue
 		}
-		if err := s.sealFile(path, data[:res.validLen], res); err != nil {
+		if err := s.sealFile(path, data[:res.validLen], res.index); err != nil {
 			return err
 		}
 	}
@@ -194,19 +189,12 @@ func (s *Store) recoverDir() error {
 
 // sealFile truncates a recovered partial to its valid prefix, appends the
 // seal footer and trailer, fsyncs, and renames it to its final name.
-func (s *Store) sealFile(path string, valid []byte, res scanResult) error {
+func (s *Store) sealFile(path string, valid []byte, index []IndexEntry) error {
 	// Rewrite rather than truncate-in-place: the valid prefix is already in
 	// memory and a rewrite leaves no window where the file has neither tail
 	// nor footer. The temp name stays inside the partial namespace so a
 	// crash mid-seal is re-recovered on the next open.
-	out := valid
-	if res.footerAt >= 0 && res.validLen == res.footerAt+frameLen(valid[res.footerAt:]) {
-		// The file already ends on a footer (e.g. crash after a checkpoint
-		// footer, before the next batch): reuse it as the seal footer.
-		out = appendTrailer(out, res.footerAt)
-	} else {
-		out = appendFooterFrame(out, 0, res.index)
-	}
+	out := appendFooterFrame(valid, 0, index)
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		return err
 	}
@@ -289,27 +277,9 @@ func (s *Store) AppendResult(batch int, tsNanos int64, res *compress.PipelineRes
 		}
 		s.unsync = 0
 	}
-	if cp := s.opts.Rotate.CheckpointEvery; cp > 0 && len(s.index)%cp == 0 {
-		if err := s.writeCheckpointLocked(); err != nil {
-			return err
-		}
-	}
 	if mb := s.opts.Rotate.MaxSegmentBatches; mb > 0 && len(s.index) >= mb {
 		return s.rotateLocked()
 	}
-	return nil
-}
-
-// writeCheckpointLocked appends a checkpoint footer frame (no trailer — the
-// segment is still active) so recovery can re-anchor the index here.
-func (s *Store) writeCheckpointLocked() error {
-	s.scratch = appendFooterOnly(s.scratch[:0], s.index)
-	if _, err := s.f.Write(s.scratch); err != nil {
-		return err
-	}
-	n := int64(len(s.scratch))
-	s.size += n
-	s.cBytes.Add(n)
 	return nil
 }
 
@@ -377,15 +347,6 @@ func (s *Store) Close() error {
 		return os.Remove(s.path)
 	}
 	return s.sealActiveLocked()
-}
-
-// frameLen reads the on-disk length of the frame starting at b (which must
-// hold at least its length prefix).
-func frameLen(b []byte) int {
-	if len(b) < 4 {
-		return 0
-	}
-	return 4 + int(uint32(b[0])<<24|uint32(b[1])<<16|uint32(b[2])<<8|uint32(b[3])) + frameCRCSize
 }
 
 // SegmentFiles lists the segment files under dir — sealed first, then any

@@ -116,7 +116,7 @@ type Config struct {
 	// behind. See STORAGE.md for the format and operator runbook.
 	SegmentDir string
 	// SegmentRotate is the sink's rotation policy (zero value: 64 MiB byte
-	// budget, no batch bound, no checkpoints).
+	// budget, no batch bound).
 	SegmentRotate segstore.RotatePolicy
 	// SegmentSyncEvery fsyncs a tenant's active segment every N batches; 0
 	// syncs only at rotation and Close.

@@ -9,18 +9,13 @@ import (
 
 // SegmentRotation tunes the durable segment sink attached with
 // WithSegmentSink. The zero value rotates on the default 64 MiB byte budget,
-// never on batch count, writes no checkpoint footers, and fsyncs only at
-// rotation and Close.
+// never on batch count, and fsyncs only at rotation and Close.
 type SegmentRotation struct {
 	// MaxSegmentBytes seals the active segment when its size would exceed
 	// this after an append; <= 0 uses the 64 MiB default.
 	MaxSegmentBytes int64
 	// MaxSegmentBatches seals after this many batches; 0 means unbounded.
 	MaxSegmentBatches int
-	// CheckpointEvery writes an index checkpoint footer every N batches, so
-	// crash recovery of a long segment re-anchors at the last checkpoint
-	// instead of re-scanning every frame. 0 disables checkpoints.
-	CheckpointEvery int
 	// SyncEvery fsyncs the active segment after every N batches. 0 syncs only
 	// at rotation and Close: a crash loses at most the unsynced tail, and
 	// recovery drops any torn frame in it.
@@ -61,7 +56,6 @@ func openSegmentStore(alg string, cfg config) (*segstore.Store, error) {
 		Rotate: segstore.RotatePolicy{
 			MaxSegmentBytes:   cfg.segmentRotate.MaxSegmentBytes,
 			MaxSegmentBatches: cfg.segmentRotate.MaxSegmentBatches,
-			CheckpointEvery:   cfg.segmentRotate.CheckpointEvery,
 		},
 		SyncEvery: cfg.segmentRotate.SyncEvery,
 	}

@@ -25,7 +25,7 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 		cstream.WithSeed(3),
 		cstream.WithBatchBytes(3*(64<<10)+8),
 		cstream.WithTelemetry(tel),
-		cstream.WithSegmentSink(dir, cstream.SegmentRotation{CheckpointEvery: 2}))
+		cstream.WithSegmentSink(dir, cstream.SegmentRotation{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -238,7 +238,8 @@ func TestProfileMemoConcurrentColdOpen(t *testing.T) {
 	s := newMemoServer(t)
 	shape := memoShapes[3]
 	const openers = 32
-	var wg sync.WaitGroup
+	var wg, opened sync.WaitGroup
+	opened.Add(openers)
 	errs := make(chan error, openers)
 	for i := 0; i < openers; i++ {
 		wg.Add(1)
@@ -248,6 +249,7 @@ func TestProfileMemoConcurrentColdOpen(t *testing.T) {
 				Tenant: fmt.Sprintf("t%d", i), Algorithm: shape.algorithm,
 				SLO: memoClasses[i%len(memoClasses)], BatchBytes: shape.batchBytes,
 			})
+			opened.Done()
 			if err == nil && reason != "" {
 				err = fmt.Errorf("shed %q", reason)
 			}
@@ -255,6 +257,10 @@ func TestProfileMemoConcurrentColdOpen(t *testing.T) {
 				errs <- err
 				return
 			}
+			// Hold the session until every opener has been placed: an open
+			// that finished before the next one began would free its shard
+			// and let placement put every session on shard 0.
+			opened.Wait()
 			s.finishSession(sess)
 		}(i)
 	}

@@ -61,7 +61,7 @@ func main() {
 		sloSpec    = flag.String("slo", "", `SLO catalog as name=lset_us_per_byte[!], "!" sheds infeasible sessions (default gold/silver/bronze)`)
 		maxInfl    = flag.Int("max-inflight", 0, "per-connection cap on dispatched-but-unanswered Data frames (0 = server default; 1 reproduces the strict serial read loop)")
 
-		planCacheFile = flag.String("plan-cache-file", "", "persist each shard's plan cache to <path>.shard<i> on shutdown and warm-start from it (empty disables)")
+		planCacheFile = flag.String("plan-cache-file", "", "persist the server's plan cache to this file on shutdown and warm-start from it; per-shard <path>.shard<i> files of older servers are not read (empty disables)")
 
 		segmentDir     = flag.String("segment-dir", "", "durable segment sink root: persist every served batch under <dir>/<tenant>/<algorithm>/ (empty disables)")
 		segmentBatches = flag.Int("segment-batches", 0, "seal a segment after this many batches (0 = rotate on the 64 MiB byte budget only)")
@@ -412,6 +412,8 @@ func runLoadgen(cfg serve.Config, lg loadgenConfig) int {
 	mb := float64(totalBatches) * float64(lg.pushBytes) / (1 << 20)
 	fmt.Printf("loadgen: pushed %d batches (%.1f MiB raw) in %v (%.1f MiB/s); decode mismatches %d, push errors %d\n",
 		totalBatches, mb, pushDur.Round(time.Millisecond), mb/pushDur.Seconds(), mismatches, pushErrs)
+	fmt.Printf("loadgen: plan cache hits %d misses %d evictions %d size %d\n",
+		st.PlanCache.Hits, st.PlanCache.Misses, st.PlanCache.Evictions, st.PlanCache.Size)
 	for _, sh := range st.Shards {
 		fmt.Printf("loadgen: shard %d planned %d deployment shapes, peak core load %.4g µs/B; plan cache hits %d misses %d\n",
 			sh.Index, sh.Deployments, sh.PeakCoreLoad, sh.PlanCache.Hits, sh.PlanCache.Misses)

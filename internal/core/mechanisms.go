@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/amp"
@@ -74,6 +75,11 @@ type Deployment struct {
 	Slices int
 	// Executor runs the deployment on the simulated platform.
 	Executor *costmodel.Executor
+	// CacheHit reports that the planner's plan cache held an entry for the
+	// workload's regime when this deployment was planned: the lookup
+	// PlanCacheStats counts as a hit. The entry is reused only while it is
+	// still feasible, so a hit can still end in a full search.
+	CacheHit bool
 
 	// workers is StageWorkers' per-stage mapping, fixed at deploy.
 	workers []int
@@ -92,9 +98,11 @@ type Planner struct {
 	// keeps every instrumentation site a single pointer comparison.
 	Telemetry *telemetry.Sink
 
-	// ablated holds the comm-symmetric model for the +asy-comp. factor,
-	// built lazily together with its machine view.
+	// ablatedModel is the comm-symmetric model for the +asy-comp. factor,
+	// built on first use: an eager build would fit two models per planner.
+	ablatedOnce  sync.Once
 	ablatedModel *costmodel.Model
+	ablatedErr   error
 	// cache, when enabled, short-circuits plan search for workloads whose
 	// quantized statistics match a previously planned regime exactly.
 	cache *plancache.PlanCache
@@ -355,28 +363,26 @@ func (pl *Planner) DeployProfile(w Workload, prof *Profile, mech string) (*Deplo
 		Feasible:     res.Feasible,
 		Slices:       compress.SliceCount(w.BatchBytes, 2*len(pl.Machine.Cores())),
 		Executor:     pl.executorFor(pol, w),
+		CacheHit:     tally.cacheLookupHit,
 		workers:      stageWorkers(w.Algorithm, res.Tasks),
 	}
 	pl.recordDeploy(telemetry.KindDeploy, d, tally, -1)
 	return d, nil
 }
 
-// asyCompModel lazily builds the communication-blind model used by the
-// +asy-comp. factor: identical computation awareness (all of Section V-B's
-// modeling), but the asymmetric communication effects are ignored — plans
-// are judged as if data moved between cores for free, which is what makes
-// the variant "too aggressive" and latency-violating in Fig. 17.
+// asyCompModel builds, once per planner, the communication-blind model used
+// by the +asy-comp. factor: identical computation awareness (all of Section
+// V-B's modeling), but the asymmetric communication effects are ignored —
+// plans are judged as if data moved between cores for free, which is what
+// makes the variant "too aggressive" and latency-violating in Fig. 17.
 func (pl *Planner) asyCompModel() (*costmodel.Model, error) {
-	if pl.ablatedModel != nil {
-		return pl.ablatedModel, nil
-	}
-	mod, err := costmodel.NewModel(pl.Machine, pl.Seed)
-	if err != nil {
-		return nil, err
-	}
-	mod.CommBlind = true
-	pl.ablatedModel = mod
-	return mod, nil
+	pl.ablatedOnce.Do(func() {
+		pl.ablatedModel, pl.ablatedErr = costmodel.NewModel(pl.Machine, pl.Seed)
+		if pl.ablatedErr == nil {
+			pl.ablatedModel.CommBlind = true
+		}
+	})
+	return pl.ablatedModel, pl.ablatedErr
 }
 
 // executorFor configures the measurement executor with the policy's runtime

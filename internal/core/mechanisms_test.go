@@ -2,12 +2,14 @@ package core
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/amp"
 	"repro/internal/compress"
 	"repro/internal/costmodel"
 	"repro/internal/dataset"
+	"repro/internal/policy"
 	"repro/internal/sched"
 )
 
@@ -248,4 +250,54 @@ func TestDeployDeterminism(t *testing.T) {
 // searchPlan is a test helper mirroring the CStream placement closure.
 func searchPlan(pl *Planner, g *costmodel.Graph, lset float64) costmodel.Plan {
 	return sched.Search(pl.Model, g, lset).Plan
+}
+
+// TestDeployAsyCompConcurrent deploys many workloads at once under
+// +asy-comp., whose communication-blind model the planner builds on first
+// use. The profiles are computed first and the deploys released together,
+// so every deploy asks for that model at about the same time; each round
+// uses a fresh planner, because other shared state can order the first
+// accesses by chance. Under -race this checks that the planner builds the
+// model once and publishes it safely: one planner is shared by every caller
+// (serve's shards included).
+func TestDeployAsyCompConcurrent(t *testing.T) {
+	var ws []Workload
+	for i := 0; i < 3; i++ {
+		ws = append(ws, multiWorkloads(t)...)
+	}
+	profs := make([]*Profile, len(ws))
+	for i, w := range ws {
+		profs[i] = ProfileWorkload(w, 1, 0)
+	}
+	for round := 0; round < 8; round++ {
+		pl, err := NewPlanner(amp.NewRK3399(), 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := make(chan struct{})
+		errs := make([]error, len(ws))
+		var wg sync.WaitGroup
+		for i := range ws {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				_, errs[i] = pl.DeployProfile(ws[i], profs[i], policy.AsyComp)
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		blind, err := pl.asyCompModel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := pl.asyCompModel(); again != blind || !blind.CommBlind {
+			t.Fatal("the communication-blind model is not built once")
+		}
+	}
 }

@@ -141,6 +141,9 @@ func (pl *Planner) lookupPlan(t *searchTally, pol policy.Policy, w Workload, pro
 	if !ok {
 		return nil, nil, nil, costmodel.Estimate{}, false
 	}
+	if t != nil {
+		t.cacheLookupHit = true
+	}
 	tasks := e.Tasks // Get returns deep copies; safe to own
 	g := BuildGraph(tasks, w.BatchBytes)
 	if len(e.Plan) != len(g.Tasks) {

@@ -20,6 +20,8 @@ type searchTally struct {
 	nodes    int64
 	micros   float64
 	cacheHit bool
+	// cacheLookupHit is Deployment.CacheHit.
+	cacheLookupHit bool
 	// planMode is the resolvePlan tier that served this decision's plan
 	// (planModeCache / planModeFull; empty means resolvePlan never ran,
 	// reported as "full").

@@ -71,9 +71,10 @@ const (
 // Config parameterizes a Server. The zero value is usable: Defaults fills
 // every unset field.
 type Config struct {
-	// Shards is the number of independent multi-stream runtimes (each with
-	// its own planner, plan cache and capacity ledger). Each session is
-	// placed on the shard holding the fewest sessions. Default 4.
+	// Shards is the number of multi-stream runtimes, each with its own
+	// capacity ledger. Every shard plans through the server's one planner
+	// and plan cache, so a session shape is planned once per server. Each
+	// session is placed on the shard holding the fewest sessions. Default 4.
 	Shards int
 	// MaxSessionsPerShard bounds the sessions placed on one shard. Placement
 	// picks the least-placed shard, so an open is shed with ShedShardFull
@@ -84,7 +85,7 @@ type Config struct {
 	TenantQuota int
 	// SLOClasses is the service catalog; empty takes DefaultSLOClasses.
 	SLOClasses []SLOClass
-	// Seed seeds every shard's planner and the profiling generator, making
+	// Seed seeds the server's planner and the profiling generator, making
 	// served plans — and therefore served frames — deterministic and
 	// byte-identical to a library-path session with the same seed.
 	Seed int64
@@ -99,13 +100,15 @@ type Config struct {
 	ProfileDataset string
 	// ProfileBatches is the profiling depth per deployment. Default 2.
 	ProfileBatches int
-	// PlanCache is each shard planner's LRU plan-cache capacity. Default 64.
+	// PlanCache is the capacity of the server's one LRU plan cache. Default
+	// 64.
 	PlanCache int
-	// PlanCacheFile, when non-empty, persists each shard planner's plan
-	// cache across restarts: shard i warm-starts from
-	// "<PlanCacheFile>.shard<i>" at New, and Close atomically rewrites the
-	// files. Torn or corrupt files restore their decodable prefix without
-	// error; the lost regimes simply plan from scratch again.
+	// PlanCacheFile, when non-empty, persists the plan cache across
+	// restarts: New warm-starts from the file and Close atomically rewrites
+	// it. A torn or corrupt file restores its decodable prefix without
+	// error; the lost regimes simply plan from scratch again. The per-shard
+	// "<PlanCacheFile>.shard<i>" files older servers wrote are not read, so
+	// the first start after an upgrade plans from scratch.
 	PlanCacheFile string
 	// Telemetry receives all serve.* metrics; nil creates a private sink.
 	Telemetry *telemetry.Sink
@@ -168,59 +171,67 @@ func (cfg Config) Defaults() Config {
 	return cfg
 }
 
-// profileMemo is the server's one proxy profile per (algorithm, batch bytes).
-// The proxy dataset, seed and profiling depth are server-wide and a profile
-// does not depend on the CLC, so a profile is a pure function of its key:
-// every shard and SLO class plans from the same *core.Profile, which nothing
-// downstream writes. Entries are single-flighted like planned, and the map
-// mutex is held only for the lookup, never across the profiling run.
-type profileMemo struct {
-	batches int // Config.ProfileBatches
-
+// memo is a single-flighted map: the value for a key is computed once, by
+// the first caller, and every later or concurrent caller gets the same value.
+// The map mutex is held only for the lookup, never across the computation,
+// so a slow first use of one key does not stall lookups of another.
+type memo[K comparable, V any] struct {
 	mu      sync.Mutex
-	entries map[profileKey]*memoEntry
+	entries map[K]*memoEntry[V]
 }
 
+type memoEntry[V any] struct {
+	once sync.Once
+	v    V
+}
+
+// get returns the value for k, running compute on first use. Errors belong
+// in V: a failed computation is cached with its key like a result.
+func (m *memo[K, V]) get(k K, compute func() V) V {
+	m.mu.Lock()
+	if m.entries == nil {
+		m.entries = map[K]*memoEntry[V]{}
+	}
+	e := m.entries[k]
+	if e == nil {
+		e = &memoEntry[V]{}
+		m.entries[k] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v = compute() })
+	return e.v
+}
+
+// profileKey names a proxy profile. The proxy dataset, seed and profiling
+// depth are server-wide and a profile does not depend on the CLC, so a
+// profile is a pure function of its key: every SLO class plans from the same
+// *core.Profile, which nothing downstream writes.
 type profileKey struct {
 	algorithm  string
 	batchBytes int
 }
 
-type memoEntry struct {
-	once sync.Once
-	prof *core.Profile
+// depKey names a session shape: everything a deployment is planned from, so
+// a shape's deployment is the same whichever shard an open lands on.
+type depKey struct {
+	algorithm  string
+	batchBytes int
+	lset       float64
 }
 
-func newProfileMemo(batches int) *profileMemo {
-	return &profileMemo{batches: batches, entries: map[profileKey]*memoEntry{}}
+// planned is a session shape's deployment, or the error planning it gave.
+type planned struct {
+	w   core.Workload
+	dep *core.Deployment
+	err error
 }
 
-// profile returns the memoised proxy profile of w's algorithm at w's batch
-// size, profiling it on first use. w.LSet plays no part in the result.
-func (m *profileMemo) profile(w core.Workload) *core.Profile {
-	key := profileKey{algorithm: w.Algorithm.Name(), batchBytes: w.BatchBytes}
-	m.mu.Lock()
-	e := m.entries[key]
-	if e == nil {
-		e = &memoEntry{}
-		m.entries[key] = e
-	}
-	m.mu.Unlock()
-	e.once.Do(func() { e.prof = core.ProfileWorkload(w, m.batches, 0) })
-	return e.prof
-}
-
-// shard is one multi-stream runtime plus its deployment cache. Deployments
-// are planned once per (algorithm, batch size, CLC) and shared by every
-// session with that shape; each session still gets its own stream handle
-// (and measurement executor) from Attach. The proxy profile a deployment is
-// planned from comes from the server's profileMemo, so it is computed once
-// per server; the plan search, plan cache and deployment stay per shard.
+// shard is one multi-stream runtime: the capacity ledger its sessions are
+// charged against, the sessions placed on it, and its gauges. Planning is
+// server-wide; the shard only counts the plans its opens triggered.
 type shard struct {
-	index    int
-	cfg      *Config
-	rt       *core.MultiStreamRuntime
-	profiles *profileMemo
+	index int
+	rt    *core.MultiStreamRuntime
 
 	// placed counts the sessions placed on the shard, from the moment
 	// openSession picks it until endSession or a failed open releases it.
@@ -232,107 +243,58 @@ type shard struct {
 	gSessions *telemetry.Gauge
 	gPeakLoad *telemetry.Gauge
 
-	mu   sync.Mutex
-	deps map[depKey]*planned
+	// shapes, cacheHits and cacheMisses count the plans that opens placed on
+	// this shard triggered: the session shapes they planned first, and those
+	// plans' plan-cache lookups. Summed over shards they are the server's
+	// deployment count and its one plan cache's hits and misses.
+	shapes, cacheHits, cacheMisses atomic.Int64
 }
 
-type depKey struct {
-	algorithm  string
-	batchBytes int
-	lset       float64
-}
-
-type planned struct {
-	// once runs the plan exactly once per session shape; concurrent opens
-	// of the same shape wait on it, opens of other shapes proceed.
-	once sync.Once
-	w    core.Workload
-	dep  *core.Deployment
-	err  error
-}
-
-func newShard(index int, cfg *Config, profiles *profileMemo) (*shard, error) {
-	machine, err := machineFor(cfg.Platform)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := core.NewPlanner(machine, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	pl.EnablePlanCache(cfg.PlanCache)
-	pl.Telemetry = cfg.Telemetry
-	if cfg.PlanCacheFile != "" {
-		if _, err := pl.LoadPlanCache(shardCachePath(cfg.PlanCacheFile, index)); err != nil {
-			return nil, fmt.Errorf("plan cache file: %w", err)
-		}
-	}
-	reg := cfg.Telemetry.Metrics()
+func newShard(index int, pl *core.Planner, reg *telemetry.Registry) *shard {
 	return &shard{
 		index:     index,
-		cfg:       cfg,
 		rt:        core.NewMultiStreamRuntime(pl),
-		profiles:  profiles,
 		gSessions: reg.Gauge(fmt.Sprintf("%s%d%s", MetricShardPrefix, index, ShardSuffixSessions)),
 		gPeakLoad: reg.Gauge(fmt.Sprintf("%s%d%s", MetricShardPrefix, index, ShardSuffixPeakLoad)),
-		deps:      map[depKey]*planned{},
-	}, nil
+	}
 }
 
-// deployment returns the shard's cached deployment for the session shape,
-// planning it on first use: the CStream search runs under the class CLC on
-// the server's one proxy profile for the (algorithm, batch size). Identical
-// shapes share one deployment across tenants and sessions; plans stay per
-// shard.
-//
-// Planning is single-flighted per shape and runs outside sh.mu: the mutex
-// only guards the map, so a first-time open of one shape (profiling plus a
-// full plan search plus its telemetry writes) no longer stalls every other
-// open on the shard — lockorder flagged the previous plan-under-lock shape.
-// Errors are cached with the entry: a given shape plans deterministically,
-// so retrying an unknown algorithm or infeasible profile would burn the same
-// search again for the same answer.
-func (sh *shard) deployment(algorithm string, batchBytes int, lset float64) (*planned, error) {
-	key := depKey{algorithm: algorithm, batchBytes: batchBytes, lset: lset}
-	sh.mu.Lock()
-	p := sh.deps[key]
-	if p == nil {
-		p = &planned{}
-		sh.deps[key] = p
-	}
-	sh.mu.Unlock()
-	p.once.Do(func() { p.plan(sh, algorithm, batchBytes, lset) })
-	if p.err != nil {
-		return nil, p.err
-	}
-	return p, nil
-}
-
-// plan takes the shape's proxy profile from the server memo and runs the
-// shard's CStream search on it, storing the result (or error) on the entry.
-// Runs under p.once. The algorithm is resolved first, so an unknown name
-// never reaches the memo.
-func (p *planned) plan(sh *shard, algorithm string, batchBytes int, lset float64) {
-	alg, err := compress.ByName(algorithm)
+// plan plans a session shape on behalf of shard sh, counting the plan on it:
+// the CStream search runs under the class CLC on the server's one proxy
+// profile for the (algorithm, batch size). It runs once per shape, under
+// s.deps, and every session of the shape shares the result, whichever shard
+// and tenant it belongs to. Errors are cached like results: a given shape
+// plans deterministically, so retrying an unknown algorithm or infeasible
+// profile would burn the same search again for the same answer. The
+// algorithm is resolved first, so an unknown name never reaches the profile
+// memo.
+func (s *Server) plan(sh *shard, key depKey) *planned {
+	sh.shapes.Add(1)
+	alg, err := compress.ByName(key.algorithm)
 	if err != nil {
-		p.err = err
-		return
+		return &planned{err: err}
 	}
-	gen, err := dataset.ByName(sh.cfg.ProfileDataset, sh.cfg.Seed)
+	gen, err := dataset.ByName(s.cfg.ProfileDataset, s.cfg.Seed)
 	if err != nil {
-		p.err = err
-		return
+		return &planned{err: err}
 	}
 	w := core.NewWorkload(alg, gen)
-	w.BatchBytes = batchBytes
-	w.LSet = lset
-	dep, err := sh.rt.Planner().DeployProfile(w, sh.profiles.profile(w), core.MechCStream)
+	w.BatchBytes = key.batchBytes
+	w.LSet = key.lset
+	prof := s.profiles.get(profileKey{algorithm: alg.Name(), batchBytes: w.BatchBytes}, func() *core.Profile {
+		return core.ProfileWorkload(w, s.cfg.ProfileBatches, 0)
+	})
+	dep, err := s.planner.DeployProfile(w, prof, core.MechCStream)
 	if err != nil {
-		p.err = err
-		return
+		return &planned{err: err}
 	}
-	p.w = w
-	p.dep = dep
+	// CStream looks the shape's regime up in the plan cache exactly once.
+	if dep.CacheHit {
+		sh.cacheHits.Add(1)
+	} else {
+		sh.cacheMisses.Add(1)
+	}
+	return &planned{w: w, dep: dep}
 }
 
 // session is one admitted stream. The connection's read loop owns the map
@@ -447,11 +409,18 @@ type tenantStats struct {
 }
 
 // Server is the multi-tenant ingest front-end: a TCP listener speaking the
-// frame protocol, Config.Shards multi-stream runtimes that each session is
-// placed on by occupancy, and an HTTP control plane (Handler).
+// frame protocol, one planner, Config.Shards multi-stream runtimes that each
+// session is placed on by occupancy, and an HTTP control plane (Handler).
 type Server struct {
-	cfg    Config
-	shards []*shard
+	cfg Config
+	// planner is the server's one planner and plan cache; every shard's
+	// runtime plans with it. profiles and deps memoise its inputs and
+	// outputs: one proxy profile per (algorithm, batch bytes) and one
+	// deployment per session shape.
+	planner  *core.Planner
+	profiles memo[profileKey, *core.Profile]
+	deps     memo[depKey, *planned]
+	shards   []*shard
 	// segments is the durable segment sink (nil unless Config.SegmentDir).
 	segments *segmentSink
 
@@ -523,13 +492,22 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.sm = newServerMetrics(s.cfg.Telemetry.Metrics())
-	profiles := newProfileMemo(cfg.ProfileBatches)
-	for i := 0; i < cfg.Shards; i++ {
-		sh, err := newShard(i, &s.cfg, profiles)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", i, err)
+	machine, err := machineFor(cfg.Platform)
+	if err != nil {
+		return nil, err
+	}
+	if s.planner, err = core.NewPlanner(machine, cfg.Seed); err != nil {
+		return nil, err
+	}
+	s.planner.EnablePlanCache(cfg.PlanCache)
+	s.planner.Telemetry = cfg.Telemetry
+	if cfg.PlanCacheFile != "" {
+		if _, err := s.planner.LoadPlanCache(cfg.PlanCacheFile); err != nil {
+			return nil, fmt.Errorf("serve: plan cache file: %w", err)
 		}
-		s.shards = append(s.shards, sh)
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		s.shards = append(s.shards, newShard(i, s.planner, s.cfg.Telemetry.Metrics()))
 	}
 	s.segments = newSegmentSink(&s.cfg)
 	return s, nil
@@ -587,15 +565,13 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.wg.Wait()
-	// Handlers have drained: persisting the plan caches and sealing the
+	// Handlers have drained: persisting the plan cache and sealing the
 	// segment stores now cannot race an in-flight batch, so a clean shutdown
-	// leaves only sealed segments and complete cache files.
+	// leaves only sealed segments and a complete cache file.
 	var firstErr error
 	if s.cfg.PlanCacheFile != "" {
-		for _, sh := range s.shards {
-			if err := sh.rt.Planner().SavePlanCache(shardCachePath(s.cfg.PlanCacheFile, sh.index)); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("serve: plan cache file: %w", err)
-			}
+		if err := s.planner.SavePlanCache(s.cfg.PlanCacheFile); err != nil {
+			firstErr = fmt.Errorf("serve: plan cache file: %w", err)
 		}
 	}
 	if s.segments != nil {
@@ -604,11 +580,6 @@ func (s *Server) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// shardCachePath names shard index's persisted plan-cache file.
-func shardCachePath(base string, index int) string {
-	return fmt.Sprintf("%s.shard%d", base, index)
 }
 
 func (s *Server) acceptLoop(ln net.Listener) {
@@ -895,8 +866,11 @@ func (s *Server) openSession(id uint32, req OpenRequest) (*session, OpenReply, s
 	ts.active++
 	s.mu.Unlock()
 
-	p, err := sh.deployment(req.Algorithm, batchBytes, slo.LSetUSPerByte)
-	if err != nil {
+	// A first open of the shape plans it outside any lock, so it stalls no
+	// open of another shape.
+	key := depKey{algorithm: req.Algorithm, batchBytes: batchBytes, lset: slo.LSetUSPerByte}
+	p := s.deps.get(key, func() *planned { return s.plan(sh, key) })
+	if p.err != nil {
 		s.release(sh, ts)
 		s.recordShed(tenant, ShedUnknownAlgorithm)
 		return nil, OpenReply{}, ShedUnknownAlgorithm, nil
@@ -1056,9 +1030,14 @@ type ShardStatus struct {
 	Sessions int `json:"sessions"`
 	// PeakCoreLoad is the shard's high-water per-core busy time (µs/B).
 	PeakCoreLoad float64 `json:"peak_core_load_us_per_byte"`
-	// Deployments is the number of distinct planned session shapes.
+	// Deployments is the number of session shapes first planned by an open
+	// placed on this shard. Shapes are planned once per server, so the sum
+	// over shards is the number of distinct planned shapes.
 	Deployments int `json:"deployments"`
-	// PlanCache summarizes the shard planner's plan-cache counters.
+	// PlanCache holds the Hits and Misses of the server plan cache's lookups
+	// made by plans that opens placed on this shard triggered; summed over
+	// shards they equal Status.PlanCache's. Evictions and Size belong to the
+	// whole cache and are 0 here.
 	PlanCache PlanCacheStatus `json:"plan_cache"`
 }
 
@@ -1095,6 +1074,9 @@ type Status struct {
 	Shed     int64 `json:"shed"`
 	Active   int   `json:"active"`
 	Peak     int   `json:"peak"`
+	// PlanCache is the server's one plan cache, which every shard plans
+	// through.
+	PlanCache PlanCacheStatus `json:"plan_cache"`
 	// Shards and Tenants are per-shard and per-tenant breakdowns (tenants
 	// sorted by name).
 	Shards  []ShardStatus  `json:"shards"`
@@ -1116,22 +1098,15 @@ func (s *Server) StatusSnapshot() Status {
 	}
 	s.mu.Unlock()
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
+	cs := s.planner.PlanCacheStats()
+	st.PlanCache = PlanCacheStatus{Hits: cs.Hits, Misses: cs.Misses, Evictions: cs.Evictions, Size: cs.Size}
 	for _, sh := range s.shards {
-		sh.mu.Lock()
-		ndeps := len(sh.deps)
-		sh.mu.Unlock()
-		cs := sh.rt.Planner().PlanCacheStats()
 		st.Shards = append(st.Shards, ShardStatus{
 			Index:        sh.index,
 			Sessions:     sh.rt.Attached(),
 			PeakCoreLoad: sh.rt.PeakCoreLoad(),
-			Deployments:  ndeps,
-			PlanCache: PlanCacheStatus{
-				Hits:      cs.Hits,
-				Misses:    cs.Misses,
-				Evictions: cs.Evictions,
-				Size:      cs.Size,
-			},
+			Deployments:  int(sh.shapes.Load()),
+			PlanCache:    PlanCacheStatus{Hits: sh.cacheHits.Load(), Misses: sh.cacheMisses.Load()},
 		})
 	}
 	return st

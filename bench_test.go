@@ -386,6 +386,33 @@ func BenchmarkPlanDeployment(b *testing.B) {
 	}
 }
 
+// BenchmarkAttach measures what a warm session open costs the runtime: one
+// Attach and Detach on an already planned deployment. Attach restarts the
+// deployment's seeded executor instead of seeding a new one; the benchdiff
+// gate pins its allocs/op.
+func BenchmarkAttach(b *testing.B) {
+	pl, err := core.NewPlanner(amp.NewRK3399(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := core.NewWorkload(compress.NewDelta32(), dataset.NewStock(1))
+	w.BatchBytes = 4 << 10
+	dep, err := pl.DeployProfile(w, core.ProfileWorkload(w, 1, 0), core.MechCStream)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := core.NewMultiStreamRuntime(pl)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, err := rt.Attach(w, dep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Detach()
+	}
+}
+
 // BenchmarkCostModelFit measures the instantiation step: profiling both core
 // types and fitting the four η/ζ rooflines. Every planner pays it once, so
 // serve.New pays it per shard and each cstream.NewSession once; the

@@ -3,8 +3,9 @@
 // BenchmarkPipeline*, BenchmarkDecompress*, the segment-store append path
 // BenchmarkSegment*, the serve data plane BenchmarkServe* — the frame
 // codec and the multi-session ingest round trip — the cold-start
-// roofline fit BenchmarkCostModel* and the proxy profile at the paper's
-// batch size BenchmarkProfile*), parses the standard
+// roofline fit BenchmarkCostModel*, the proxy profile at the paper's
+// batch size BenchmarkProfile* and the warm session attach
+// BenchmarkAttach), parses the standard
 // `go test -bench` output, and compares the result against a committed
 // baseline (the highest-numbered BENCH_<pr>.json at the repository root):
 //
@@ -43,7 +44,7 @@ func main() {
 	tolerance := flag.String("tolerance", "10%", "allowed ns/op regression (e.g. 10%)")
 	strictTime := flag.Bool("strict-time", false, "treat ns/op regressions as failures")
 	baselinePath := flag.String("baseline", "", "baseline file (default: the highest-numbered BENCH_<pr>.json)")
-	benchPat := flag.String("bench", "^(BenchmarkCompress|BenchmarkPipeline|BenchmarkDecompress|BenchmarkSegment|BenchmarkServe|BenchmarkCostModel|BenchmarkProfile)", "benchmark regexp")
+	benchPat := flag.String("bench", "^(BenchmarkCompress|BenchmarkPipeline|BenchmarkDecompress|BenchmarkSegment|BenchmarkServe|BenchmarkCostModel|BenchmarkProfile|BenchmarkAttach)", "benchmark regexp")
 	pkg := flag.String("pkg", ".", "package to benchmark")
 	benchtime := flag.String("benchtime", "0.5s", "go test -benchtime value")
 	parseFile := flag.String("parse", "", "parse pre-recorded go test -bench output instead of running")

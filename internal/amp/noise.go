@@ -18,21 +18,68 @@ const (
 
 // Sampler draws the "measured" value of a quantity whose ground truth the
 // simulator knows, reproducing run-to-run variance on real hardware. It is
-// deterministic for a given seed.
+// deterministic for a given seed: its draws are exactly those of
+// rand.New(rand.NewSource(seed)).
+//
+// The seeded state is an immutable origin that Restart shares: a restarted
+// sampler replays the same draws without paying for the seeding again. A
+// Sampler copies the origin before its first draw, so one that never draws
+// holds nothing but the origin.
 type Sampler struct {
-	rng *rand.Rand
+	origin *source
+	state  *source   // the origin's working copy; nil until the first draw
+	rng    rand.Rand // over state
 }
 
 // NewSampler returns a Sampler seeded for reproducibility.
 func NewSampler(seed int64) *Sampler {
-	return &Sampler{rng: rand.New(rand.NewSource(seed))}
+	// One allocation holds the sampler and its origin.
+	a := &struct {
+		s      Sampler
+		origin source
+	}{}
+	seedSource(&a.origin, seed)
+	a.s.origin = &a.origin
+	return &a.s
+}
+
+// Restart returns a sampler positioned at s's origin, as NewSampler with s's
+// seed would return it. It copies the state now, so its first draw pays no
+// copy. It reads only the origin, so it may run while another goroutine
+// draws from s.
+func (s *Sampler) Restart() *Sampler {
+	// One allocation holds the sampler and its working state.
+	a := &struct {
+		s     Sampler
+		state source
+	}{}
+	a.state = *s.origin
+	a.s.origin = s.origin
+	a.s.start(&a.state)
+	return &a.s
+}
+
+// start points the sampler's generator at state.
+func (s *Sampler) start(state *source) {
+	s.state = state
+	s.rng = *rand.New(state)
+}
+
+// r returns the sampler's generator, copying the origin on the first draw.
+func (s *Sampler) r() *rand.Rand {
+	if s.state == nil {
+		c := *s.origin
+		s.start(&c)
+	}
+	return &s.rng
 }
 
 // MeasureCompLatency perturbs a true computation latency.
 func (s *Sampler) MeasureCompLatency(trueUS float64) float64 {
-	v := trueUS * (1 + s.rng.NormFloat64()*compLatencySigma)
-	if s.rng.Float64() < spikeProb {
-		v *= 1 + s.rng.Float64()*spikeFactor
+	r := s.r()
+	v := trueUS * (1 + r.NormFloat64()*compLatencySigma)
+	if r.Float64() < spikeProb {
+		v *= 1 + r.Float64()*spikeFactor
 	}
 	if v < 0 {
 		v = 0
@@ -43,7 +90,7 @@ func (s *Sampler) MeasureCompLatency(trueUS float64) float64 {
 // MeasureCommLatency perturbs a true communication latency; its variance is
 // substantially higher than computation's.
 func (s *Sampler) MeasureCommLatency(trueUS float64) float64 {
-	v := trueUS * (1 + s.rng.NormFloat64()*commLatencySigma)
+	v := trueUS * (1 + s.r().NormFloat64()*commLatencySigma)
 	if v < 0 {
 		v = 0
 	}
@@ -52,7 +99,7 @@ func (s *Sampler) MeasureCommLatency(trueUS float64) float64 {
 
 // MeasureEnergy perturbs a true energy value.
 func (s *Sampler) MeasureEnergy(trueUJ float64) float64 {
-	v := trueUJ * (1 + s.rng.NormFloat64()*energySigma)
+	v := trueUJ * (1 + s.r().NormFloat64()*energySigma)
 	if v < 0 {
 		v = 0
 	}
@@ -61,10 +108,10 @@ func (s *Sampler) MeasureEnergy(trueUJ float64) float64 {
 
 // Uniform returns a deterministic uniform draw in [0,1), for mechanisms that
 // place tasks randomly (BO/LO).
-func (s *Sampler) Uniform() float64 { return s.rng.Float64() }
+func (s *Sampler) Uniform() float64 { return s.r().Float64() }
 
 // Intn returns a deterministic uniform draw in [0,n).
-func (s *Sampler) Intn(n int) int { return s.rng.Intn(n) }
+func (s *Sampler) Intn(n int) int { return s.r().Intn(n) }
 
 // Meter emulates the INA226 + ESP32-S2 energy meter of Fig. 6: it samples
 // current/voltage at a fixed period and integrates, so readings carry
@@ -78,6 +125,12 @@ type Meter struct {
 // NewMeter returns a meter with the default 0.05 µJ quantum.
 func NewMeter(seed int64) *Meter {
 	return &Meter{s: NewSampler(seed*31 + 7), QuantumUJ: 0.05}
+}
+
+// Restart returns a meter with m's quantum whose readings replay m's from
+// the start (see Sampler.Restart).
+func (m *Meter) Restart() *Meter {
+	return &Meter{s: m.s.Restart(), QuantumUJ: m.QuantumUJ}
 }
 
 // Read measures a true energy quantity, applying sensor noise and

@@ -225,7 +225,7 @@ func referenceDecompressHuff8(packed []byte, bitLen uint64, origLen int) ([]byte
 	if origLen == 0 {
 		return []byte{}, nil
 	}
-	codes := canonicalCodes(&lengths)
+	codes := referenceCanonicalCodes(&lengths)
 	// Decode with a (code,length)→symbol map; fine for a reference decoder.
 	type key struct {
 		code uint32

@@ -370,7 +370,7 @@ func TestHuff8KraftInvariant(t *testing.T) {
 			// Skewed draws to exercise deep trees.
 			freq[byte(rng.ExpFloat64()*8)&0xFF]++
 		}
-		lengths := buildCodeLengths(&freq)
+		lengths := new(huffTree).codeLengths(&freq)
 		kraft := 0.0
 		for _, l := range lengths {
 			if l > huff8MaxCodeLen {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/stream"
@@ -58,148 +59,92 @@ func (*Huff8) Steps() []StepKind { return []StepKind{StepRead, StepEncode, StepW
 // NewSession implements Algorithm.
 func (*Huff8) NewSession() Session { return &huff8Session{} }
 
+// huff8Session holds the per-batch tables (tree scratch, histogram,
+// bit-reversed codewords) instead of the goroutine stack, so a fresh
+// goroutine's first batch does not grow its stack.
 type huff8Session struct {
-	w   bitio.Writer
-	res Result
+	w    bitio.Writer
+	res  Result
+	tree huffTree
+	freq [256]int
+	rev  [256]uint32
 }
 
 // Reset implements Session.
 func (*huff8Session) Reset() {}
 
-// huffArenaCap bounds the construction arena: 256 leaves + 255 internal
-// nodes. The fixed capacity keeps tree construction off the heap.
-const huffArenaCap = 511
+// huffTree is the scratch of one code-length build.
+type huffTree struct {
+	// leaves holds weight<<8 | symbol for every used symbol, sorted: the
+	// leaf queue, in the (weight, symbol) order a heap would pop. Weights
+	// are byte counts of one batch, far below 2^56.
+	leaves [256]uint64
+	// weight holds the internal nodes' weights in creation order, which is
+	// non-decreasing: the internal queue.
+	weight [255]int
+	// parent and depth are indexed by node: leaves 0..n-1 in sorted order,
+	// then internal nodes n..2n-2 in creation order.
+	parent [511]uint16
+	depth  [511]uint8
+}
 
-// buildCodeLengths returns per-symbol code lengths for the histogram,
+// codeLengths returns per-symbol code lengths for the histogram,
 // length-limited by iterative flattening. Symbols with zero frequency get
-// length 0. A single-symbol alphabet gets length 1. All scratch lives in
-// fixed-size stack arrays, so the call does not allocate.
-func buildCodeLengths(freq *[256]int) [256]uint8 {
+// length 0. A single-symbol alphabet gets length 1.
+//
+// The tree is built with two queues: sorted leaves and internal nodes in
+// creation order. Each step merges the two lightest nodes, a leaf winning a
+// tie with an internal node, which pops exactly what a min-heap ordered by
+// (weight, arena index) pops when leaves are numbered by symbol and internal
+// nodes after them: the tree, and so every length, is the heap build's.
+func (t *huffTree) codeLengths(freq *[256]int) [256]uint8 {
 	var lengths [256]uint8
-	var arenaBuf [huffArenaCap]huffNode
-	var idxBuf [256]int
-	arena := arenaBuf[:0]
-	idx := idxBuf[:0]
+	n := 0
 	for s, f := range freq {
 		if f > 0 {
-			arena = append(arena, huffNode{weight: f, symbol: s, left: -1, right: -1})
-			idx = append(idx, len(arena)-1)
+			t.leaves[n] = uint64(f)<<8 | uint64(s)
+			n++
 		}
 	}
-	switch len(idx) {
+	switch n {
 	case 0:
 		return lengths
 	case 1:
-		lengths[arena[idx[0]].symbol] = 1
+		lengths[t.leaves[0]&0xff] = 1
 		return lengths
 	}
-	heapInit(arena, idx)
-	for len(idx) > 1 {
-		var a, b int
-		a, idx = heapPop(arena, idx)
-		b, idx = heapPop(arena, idx)
-		arena = append(arena, huffNode{
-			weight: arena[a].weight + arena[b].weight,
-			symbol: -1, left: a, right: b,
-		})
-		idx = heapPush(arena, idx, len(arena)-1)
-	}
-	root := idx[0]
-	// Depth-first assignment of depths. The stack never exceeds
-	// #internal nodes + 1 entries.
-	type frame struct{ idx, depth int }
-	var stackBuf [264]frame
-	stack := stackBuf[:0]
-	stack = append(stack, frame{root, 0})
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := arena[f.idx]
-		if n.symbol >= 0 {
-			d := f.depth
-			if d == 0 {
-				d = 1
+	leaves := t.leaves[:n]
+	slices.Sort(leaves)
+	li, ii := 0, 0 // heads of the leaf and internal queues
+	for k := 0; k < n-1; k++ {
+		var pair [2]int
+		for j := range pair {
+			if li < n && (ii == k || int(leaves[li]>>8) <= t.weight[ii]) {
+				pair[j] = int(leaves[li] >> 8)
+				t.parent[li] = uint16(n + k)
+				li++
+			} else {
+				pair[j] = t.weight[ii]
+				t.parent[n+ii] = uint16(n + k)
+				ii++
 			}
-			lengths[n.symbol] = uint8(d)
-			continue
 		}
-		stack = append(stack, frame{n.left, f.depth + 1}, frame{n.right, f.depth + 1})
+		t.weight[k] = pair[0] + pair[1]
+	}
+	// Parents are created after their children, so one descending pass
+	// from the root assigns every depth.
+	root := 2*n - 2
+	t.depth[root] = 0
+	for id := root - 1; id >= 0; id-- {
+		t.depth[id] = t.depth[t.parent[id]] + 1
+	}
+	for i, key := range leaves {
+		lengths[key&0xff] = t.depth[i]
 	}
 	// Length-limit by demoting over-deep leaves; the canonical assignment
 	// below only needs Kraft-satisfying lengths.
 	limitLengths(&lengths)
 	return lengths
-}
-
-// huffNode is one Huffman tree node in the construction arena.
-type huffNode struct {
-	weight      int
-	symbol      int // -1 for internal nodes
-	left, right int // arena indices
-}
-
-// The heap helpers below specialize container/heap's exact Init/Push/Pop
-// algorithm to a min-heap of arena indices ordered by (weight, arena index),
-// avoiding the interface boxing the generic version pays per operation. The
-// sift orders are identical, so the constructed tree — and therefore the
-// emitted bitstream — is unchanged.
-
-func heapLess(arena []huffNode, idx []int, i, j int) bool {
-	a, b := arena[idx[i]], arena[idx[j]]
-	if a.weight != b.weight {
-		return a.weight < b.weight
-	}
-	return idx[i] < idx[j] // deterministic tie-break
-}
-
-func heapInit(arena []huffNode, idx []int) {
-	n := len(idx)
-	for i := n/2 - 1; i >= 0; i-- {
-		heapDown(arena, idx, i, n)
-	}
-}
-
-func heapUp(arena []huffNode, idx []int, j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !heapLess(arena, idx, j, i) {
-			break
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-		j = i
-	}
-}
-
-func heapDown(arena []huffNode, idx []int, i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && heapLess(arena, idx, j2, j1) {
-			j = j2 // right child
-		}
-		if !heapLess(arena, idx, j, i) {
-			break
-		}
-		idx[i], idx[j] = idx[j], idx[i]
-		i = j
-	}
-}
-
-func heapPush(arena []huffNode, idx []int, v int) []int {
-	idx = append(idx, v)
-	heapUp(arena, idx, len(idx)-1)
-	return idx
-}
-
-func heapPop(arena []huffNode, idx []int) (int, []int) {
-	n := len(idx) - 1
-	idx[0], idx[n] = idx[n], idx[0]
-	heapDown(arena, idx, 0, n)
-	return idx[n], idx[:n]
 }
 
 // limitLengths enforces huff8MaxCodeLen while keeping the Kraft sum ≤ 1:
@@ -244,43 +189,27 @@ func limitLengths(lengths *[256]uint8) {
 	}
 }
 
-// hsym pairs a symbol with its code length for canonical ordering.
-type hsym struct {
-	s int
-	l uint8
-}
-
 // canonicalCodes assigns canonical codewords (shorter lengths first, then by
-// symbol) from code lengths. The ordering scratch is a fixed stack array and
-// the sort is an insertion sort over the ≤256 unique (length, symbol) keys —
-// the same total order sort.Slice produced, without its closure allocation.
+// symbol) from code lengths of at most huff8MaxCodeLen bits, as DEFLATE
+// does: the first code of each length follows from the per-length counts,
+// and symbols take their length's codes in symbol order.
 func canonicalCodes(lengths *[256]uint8) [256]uint32 {
-	var order [256]hsym
-	n := 0
-	for s, l := range lengths {
-		if l > 0 {
-			order[n] = hsym{s, l}
-			n++
-		}
+	var count, next [huff8MaxCodeLen + 1]uint32
+	for _, l := range lengths {
+		count[l]++
 	}
-	for i := 1; i < n; i++ {
-		e := order[i]
-		j := i - 1
-		for j >= 0 && (order[j].l > e.l || (order[j].l == e.l && order[j].s > e.s)) {
-			order[j+1] = order[j]
-			j--
-		}
-		order[j+1] = e
+	count[0] = 0 // unused symbols take no code
+	code := uint32(0)
+	for l := 1; l <= huff8MaxCodeLen; l++ {
+		code = (code + count[l-1]) << 1
+		next[l] = code
 	}
 	var codes [256]uint32
-	code := uint32(0)
-	prevLen := uint8(0)
-	for i := 0; i < n; i++ {
-		sy := order[i]
-		code <<= (sy.l - prevLen)
-		codes[sy.s] = code
-		code++
-		prevLen = sy.l
+	for s, l := range lengths {
+		if l > 0 {
+			codes[s] = next[l]
+			next[l]++
+		}
 	}
 	return codes
 }
@@ -311,7 +240,8 @@ func (s *huff8Session) compressBytes(data []byte) *Result {
 	enc := res.Steps[StepEncode]
 	wr := res.Steps[StepWrite]
 
-	var freq [256]int
+	freq := &s.freq
+	*freq = [256]int{}
 	for _, c := range data {
 		freq[c]++
 	}
@@ -320,7 +250,7 @@ func (s *huff8Session) compressBytes(data []byte) *Result {
 	enc.Cost.Instructions = h8HistInstr * float64(len(data))
 	enc.Cost.MemAccesses = h8HistMem * float64(len(data))
 
-	lengths := buildCodeLengths(&freq)
+	lengths := s.tree.codeLengths(freq)
 	distinct := 0
 	for _, l := range lengths {
 		if l > 0 {
@@ -334,7 +264,7 @@ func (s *huff8Session) compressBytes(data []byte) *Result {
 	// emits the codeword MSB-first, exactly as the original per-bit loop
 	// did. Each codeword is reversed once per table, not once per byte.
 	codes := canonicalCodes(&lengths)
-	var rev [256]uint32
+	rev := &s.rev
 	for c, l := range lengths {
 		rev[c] = bits.Reverse32(codes[c]) >> (32 - l)
 	}

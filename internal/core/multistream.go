@@ -153,24 +153,27 @@ func (rt *MultiStreamRuntime) PeakCoreLoad() float64 { return rt.ledger.peakLoad
 // Attach admits one stream running workload w under the given deployment
 // (typically from the shared planner's DeployProfile, so the plan cache is
 // exercised). The deployment's graph and plan may be shared by many streams;
-// the handle gets its own measurement executor, seeded identically to the
-// deployment's, so per-stream simulated measurements never race.
+// the handle gets its own measurement executor, restarted from the
+// deployment's (costmodel.Executor.Restart), so it measures exactly what a
+// freshly seeded executor would and per-stream measurements never race.
 func (rt *MultiStreamRuntime) Attach(w Workload, dep *Deployment) (*StreamHandle, error) {
 	if dep == nil {
 		return nil, fmt.Errorf("core: Attach with nil deployment")
 	}
-	if dep.Workload != w.Name() {
-		return nil, fmt.Errorf("core: deployment is for %s, got %s", dep.Workload, w.Name())
+	if name := w.Name(); dep.Workload != name {
+		return nil, fmt.Errorf("core: deployment is for %s, got %s", dep.Workload, name)
 	}
-	pol, err := lookupPolicy(dep.Mechanism)
-	if err != nil {
-		return nil, err
+	if dep.Executor == nil {
+		return nil, fmt.Errorf("core: deployment for %s has no executor", dep.Workload)
+	}
+	if dep.Executor.M != rt.pl.Machine {
+		return nil, fmt.Errorf("core: deployment for %s simulates another machine than the runtime's", dep.Workload)
 	}
 	h := &StreamHandle{
 		rt:   rt,
 		w:    w,
 		dep:  dep,
-		ex:   rt.pl.executorFor(pol, w),
+		ex:   dep.Executor.Restart(),
 		busy: coreBusy(dep, rt.pl.Machine.NumCores()),
 	}
 	rt.mu.Lock()
@@ -201,6 +204,11 @@ type StreamHandle struct {
 	ex   *costmodel.Executor
 	busy []float64
 
+	// meas and exBusy are the executor's output and scratch, reused by
+	// every batch.
+	meas   costmodel.Measurement
+	exBusy []float64
+
 	batches        int
 	violations     int
 	sumL, sumE     float64
@@ -214,9 +222,15 @@ func (h *StreamHandle) Deployment() *Deployment { return h.dep }
 // Workload returns the stream's workload.
 func (h *StreamHandle) Workload() Workload { return h.w }
 
-// account folds one executed batch into the stream's accumulators and the
-// planner's stream metrics.
-func (h *StreamHandle) account(m costmodel.Measurement, contention float64) BatchMeasure {
+// measure runs the stream's plan once on the simulated board into h.meas.
+func (h *StreamHandle) measure() {
+	h.exBusy = h.ex.RunInto(h.dep.Graph, h.dep.Plan, &h.meas, h.exBusy)
+}
+
+// account folds the batch just measured into the stream's accumulators and
+// the planner's stream metrics.
+func (h *StreamHandle) account(contention float64) BatchMeasure {
+	m := &h.meas
 	lat := m.LatencyPerByte * contention
 	violated := lat > h.w.LSet
 	h.batches++
@@ -243,9 +257,9 @@ func (h *StreamHandle) account(m costmodel.Measurement, contention float64) Batc
 // co-residency factor observed.
 func (h *StreamHandle) Simulate() BatchMeasure {
 	contention := h.rt.ledger.acquire(h.busy)
-	m := h.ex.Run(h.dep.Graph, h.dep.Plan)
+	h.measure()
 	h.rt.ledger.release(h.busy)
-	return h.account(m, contention)
+	return h.account(contention)
 }
 
 // RunBatch compresses caller-supplied batch bytes through the stream's
@@ -259,9 +273,9 @@ func (h *StreamHandle) RunBatch(ctx context.Context, b *stream.Batch) (*compress
 		h.rt.ledger.release(h.busy)
 		return nil, BatchMeasure{}, err
 	}
-	m := h.ex.Run(h.dep.Graph, h.dep.Plan)
+	h.measure()
 	h.rt.ledger.release(h.busy)
-	return res, h.account(m, contention), nil
+	return res, h.account(contention), nil
 }
 
 // Report summarizes the stream so far.
@@ -293,7 +307,7 @@ func (h *StreamHandle) Detach() {
 	if h.batches > 0 {
 		mean = h.sumE / float64(h.batches)
 	}
-	h.rt.pl.recordStream(h.w.Name(), h.batches, h.violations, mean)
+	h.rt.pl.recordStream(h.dep.Workload, h.batches, h.violations, mean)
 	h.rt.mu.Lock()
 	h.rt.attached--
 	h.rt.mu.Unlock()

@@ -46,7 +46,7 @@ func NewWorkload(alg compress.Algorithm, gen dataset.Generator) Workload {
 
 // Name is the paper's Algorithm-Dataset label, e.g. "tcomp32-Rovio".
 func (w Workload) Name() string {
-	return fmt.Sprintf("%s-%s", w.Algorithm.Name(), w.Dataset.Name())
+	return w.Algorithm.Name() + "-" + w.Dataset.Name()
 }
 
 // StepProfile is the measured cost of one compression step, normalized per

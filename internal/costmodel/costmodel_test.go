@@ -84,6 +84,47 @@ func TestGraphInputs(t *testing.T) {
 	if in := g.Inputs(0); len(in) != 0 {
 		t.Fatalf("Inputs(0) = %v", in)
 	}
+	if in := g.Inputs(2); in != nil {
+		t.Fatalf("Inputs past the last task = %v", in)
+	}
+
+	// A replicated graph has many edges per consumer. Its index is built
+	// by whichever of several concurrent first calls gets there, and every
+	// task's inputs are the Edges that feed it, in Edges order.
+	r := BuildGraph([]LogicalTask{
+		{Name: "a", InstrPerByte: 10, Kappa: 5, Replicas: 3},
+		{Name: "b", InstrPerByte: 20, Kappa: 5, InPerByte: 1, Replicas: 4},
+		{Name: "c", InstrPerByte: 30, Kappa: 5, InPerByte: 0.5, Replicas: 2},
+	}, 4096)
+	done := make(chan [][]Edge)
+	for k := 0; k < 4; k++ {
+		go func() {
+			var got [][]Edge
+			for id := range r.Tasks {
+				got = append(got, r.Inputs(id))
+			}
+			done <- got
+		}()
+	}
+	for k := 0; k < 4; k++ {
+		got := <-done
+		for id := range r.Tasks {
+			var want []Edge
+			for _, e := range r.Edges {
+				if e.To == id {
+					want = append(want, e)
+				}
+			}
+			if len(got[id]) != len(want) {
+				t.Fatalf("Inputs(%d) = %v, want %v", id, got[id], want)
+			}
+			for i := range want {
+				if got[id][i] != want[i] {
+					t.Fatalf("Inputs(%d) = %v, want %v", id, got[id], want)
+				}
+			}
+		}
+	}
 }
 
 func TestPlanClone(t *testing.T) {

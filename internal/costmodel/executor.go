@@ -78,20 +78,45 @@ func (ex *Executor) measureEnergy(v float64) float64 {
 	return ex.Sampler.MeasureEnergy(v)
 }
 
+// Restart returns a copy of the executor on the same machine, with the same
+// overheads, whose sampler and meter are restarted from their origins (see
+// amp.Sampler.Restart): its measurements are those a freshly seeded
+// executor would make. It only reads ex, so many goroutines may restart one
+// shared executor.
+func (ex *Executor) Restart() *Executor {
+	c := *ex
+	if ex.Sampler != nil {
+		c.Sampler = ex.Sampler.Restart()
+	}
+	if ex.Meter != nil {
+		c.Meter = ex.Meter.Restart()
+	}
+	return &c
+}
+
 // Run executes graph g under plan p once and returns the observed
 // measurement. The steady-state pipeline semantics match the estimator:
 // co-located tasks time-share their core, each task's stage latency is its
 // core's busy time plus its inbound communication, and the procedure's
 // latency is the slowest stage (Eq. 2).
 func (ex *Executor) Run(g *Graph, p Plan) Measurement {
+	var m Measurement
+	ex.RunInto(g, p, &m, nil)
+	return m
+}
+
+// RunInto is Run writing into m and using busy as per-core scratch: m's
+// per-task slices and busy are reused when large enough, so a caller that
+// hands the same ones back every batch allocates nothing. It returns busy,
+// grown if it had to be. Noise is drawn in the same order as Run's.
+func (ex *Executor) RunInto(g *Graph, p Plan, m *Measurement, busy []float64) []float64 {
 	n := len(g.Tasks)
-	meas := Measurement{
-		PerTaskLatency: make([]float64, n),
-		PerTaskEnergy:  make([]float64, n),
-	}
+	m.LatencyPerByte, m.EnergyPerByte = 0, 0
+	m.PerTaskLatency = resize(m.PerTaskLatency, n)
+	m.PerTaskEnergy = resize(m.PerTaskEnergy, n)
+	busy = resize(busy, ex.M.NumCores())
+	clear(busy)
 	batch := float64(g.BatchBytes)
-	busy := make([]float64, ex.M.NumCores())
-	comp := make([]float64, n)
 	for i, t := range g.Tasks {
 		core := p[i]
 		l := ex.M.CompLatency(core, t.InstrPerByte, t.Kappa)
@@ -99,9 +124,7 @@ func (ex *Executor) Run(g *Graph, p Plan) Measurement {
 			l *= ReplicaLatencyFactor
 		}
 		l += taskStartupUS(ex.M.Core(core).Type) / batch
-		l = ex.measureComp(l)
-		comp[i] = l
-		busy[core] += l
+		busy[core] += ex.measureComp(l)
 	}
 	for i, t := range g.Tasks {
 		core := p[i]
@@ -121,23 +144,32 @@ func (ex *Executor) Run(g *Graph, p Plan) Measurement {
 			// Migrations hit tasks stochastically and stretch their stage.
 			l += ex.Sampler.Uniform() * ex.MigrationOverheadUS / batch
 		}
-		meas.PerTaskLatency[i] = l
-		if l > meas.LatencyPerByte {
-			meas.LatencyPerByte = l
+		m.PerTaskLatency[i] = l
+		if l > m.LatencyPerByte {
+			m.LatencyPerByte = l
 		}
 
 		e := ex.M.CompEnergy(core, t.InstrPerByte, t.Kappa)
 		e += ReplicaOverhead(t)
 		e += commE + TaskBatchEnergyUJ/batch
 		e = ex.measureEnergy(e)
-		meas.PerTaskEnergy[i] = e
-		meas.EnergyPerByte += e
+		m.PerTaskEnergy[i] = e
+		m.EnergyPerByte += e
 	}
-	meas.EnergyPerByte += ex.MigrationEnergyUJPerByte + ex.OverheadEnergyPerByte
+	m.EnergyPerByte += ex.MigrationEnergyUJPerByte + ex.OverheadEnergyPerByte
 	if ex.Meter != nil {
-		meas.EnergyPerByte = ex.Meter.Read(meas.EnergyPerByte*batch) / batch
+		m.EnergyPerByte = ex.Meter.Read(m.EnergyPerByte*batch) / batch
 	}
-	return meas
+	return busy
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. The contents are not cleared.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // RunRepeated executes the plan `times` times and returns all measurements,

@@ -12,6 +12,7 @@ package costmodel
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/fmath"
 )
@@ -61,6 +62,12 @@ type Graph struct {
 	Edges []Edge
 	// BatchBytes is B, used to amortize per-batch static overheads.
 	BatchBytes int
+
+	// The inbound-edge index Inputs serves from, built on its first call:
+	// Inputs(id) is in[inStart[id]:inStart[id+1]].
+	inOnce  sync.Once
+	in      []Edge
+	inStart []int
 }
 
 // Validate checks structural invariants.
@@ -93,15 +100,40 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Inputs returns the edges feeding task id.
+// Inputs returns the edges feeding task id, in Edges order. The result
+// aliases an index built on the first call, so Tasks and Edges must not
+// change after it and callers must not write the result.
 func (g *Graph) Inputs(id int) []Edge {
-	var out []Edge
+	g.inOnce.Do(g.indexInputs)
+	if id < 0 || id+1 >= len(g.inStart) {
+		return nil
+	}
+	return g.in[g.inStart[id]:g.inStart[id+1]:g.inStart[id+1]]
+}
+
+// indexInputs groups the edges by consumer with a stable counting sort.
+func (g *Graph) indexInputs() {
+	n := len(g.Tasks)
 	for _, e := range g.Edges {
-		if e.To == id {
-			out = append(out, e)
+		n = max(n, e.To+1)
+	}
+	start := make([]int, n+2)
+	for _, e := range g.Edges {
+		if e.To >= 0 {
+			start[e.To+2]++
 		}
 	}
-	return out
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	in := make([]Edge, start[n+1])
+	for _, e := range g.Edges {
+		if e.To >= 0 {
+			in[start[e.To+1]] = e
+			start[e.To+1]++
+		}
+	}
+	g.in, g.inStart = in, start[:n+1]
 }
 
 // Plan maps each task (by index) to a core ID (Definition 2).

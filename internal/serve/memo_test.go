@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -358,8 +359,9 @@ func TestStatusPlanAttribution(t *testing.T) {
 			t.Errorf("shard %d reports whole-cache counters: %+v", sh.Index, sh.PlanCache)
 		}
 	}
-	if want := s.deps.len(); deployments != want || want != len(shapes)*len(memoClasses)+1 {
-		t.Errorf("shard rows sum to %d deployments, memo holds %d, want %d", deployments, want, len(shapes)*len(memoClasses)+1)
+	// The unknown name is refused before the memo, so it is no deployment.
+	if want := s.deps.len(); deployments != want || want != len(shapes)*len(memoClasses) {
+		t.Errorf("shard rows sum to %d deployments, memo holds %d, want %d", deployments, want, len(shapes)*len(memoClasses))
 	}
 	if hits != st.PlanCache.Hits || misses != st.PlanCache.Misses {
 		t.Errorf("shard rows sum to %d hits, %d misses; the cache counts %d, %d", hits, misses, st.PlanCache.Hits, st.PlanCache.Misses)
@@ -369,6 +371,40 @@ func TestStatusPlanAttribution(t *testing.T) {
 	}
 	if hits == 0 || misses == 0 {
 		t.Errorf("want both hits and misses, got %d and %d", hits, misses)
+	}
+}
+
+// TestUnknownAlgorithmsLeaveNoShape: opens under 1 000 distinct names that
+// are no algorithm are shed without touching either memo, so no client can
+// grow the server by inventing names, and /status counts no deployment for
+// them.
+func TestUnknownAlgorithmsLeaveNoShape(t *testing.T) {
+	s := newMemoServer(t)
+	sess, _, reason, err := s.openSession(1, OpenRequest{Tenant: "t", Algorithm: "lz4", SLO: "silver", BatchBytes: 16 << 10})
+	if err != nil || reason != "" {
+		t.Fatalf("open lz4: err %v, shed %q", err, reason)
+	}
+	s.finishSession(sess)
+	deployments := func() int {
+		n := 0
+		for _, sh := range s.StatusSnapshot().Shards {
+			n += sh.Deployments
+		}
+		return n
+	}
+	deps, profiles, status := s.deps.len(), s.profiles.len(), deployments()
+	for i := 0; i < 1000; i++ {
+		req := OpenRequest{Tenant: "t", Algorithm: fmt.Sprintf("nope-%d", i), SLO: "silver", BatchBytes: 16 << 10}
+		if _, _, reason, err := s.openSession(uint32(i+2), req); err != nil || reason != ShedUnknownAlgorithm {
+			t.Fatalf("open %q: err %v, shed %q", req.Algorithm, err, reason)
+		}
+	}
+	if s.deps.len() != deps || s.profiles.len() != profiles || deployments() != status {
+		t.Fatalf("unknown names grew the server: deps %d → %d, profiles %d → %d, /status deployments %d → %d",
+			deps, s.deps.len(), profiles, s.profiles.len(), status, deployments())
+	}
+	if got := placedCounts(s); slices.Max(got) != 0 {
+		t.Fatalf("shed opens kept shard slots: %v", got)
 	}
 }
 

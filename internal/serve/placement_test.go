@@ -76,7 +76,8 @@ func TestPlacementLeastPlaced(t *testing.T) {
 	}
 	byShard[2] = []*session{mustOpen(2)}
 
-	// Opens that fail after placement release their slot.
+	// Failed opens keep no slot, whether they fail before placement (an
+	// unknown algorithm) or after it (an infeasible plan).
 	want := placedCounts(s)
 	if _, _, reason := open("nosuchalg", "silver"); reason != ShedUnknownAlgorithm {
 		t.Fatalf("unknown algorithm: shed %q", reason)

@@ -264,16 +264,11 @@ func newShard(index int, pl *core.Planner, reg *telemetry.Registry) *shard {
 // profile for the (algorithm, batch size). It runs once per shape, under
 // s.deps, and every session of the shape shares the result, whichever shard
 // and tenant it belongs to. Errors are cached like results: a given shape
-// plans deterministically, so retrying an unknown algorithm or infeasible
-// profile would burn the same search again for the same answer. The
-// algorithm is resolved first, so an unknown name never reaches the profile
-// memo.
-func (s *Server) plan(sh *shard, key depKey) *planned {
+// plans deterministically, so retrying an infeasible profile would burn the
+// same search again for the same answer. openSession resolves the algorithm
+// before the memo, so an unknown name never reaches either memo.
+func (s *Server) plan(sh *shard, alg compress.Algorithm, key depKey) *planned {
 	sh.shapes.Add(1)
-	alg, err := compress.ByName(key.algorithm)
-	if err != nil {
-		return &planned{err: err}
-	}
 	gen, err := dataset.ByName(s.cfg.ProfileDataset, s.cfg.Seed)
 	if err != nil {
 		return &planned{err: err}
@@ -839,6 +834,13 @@ func (s *Server) openSession(id uint32, req OpenRequest) (*session, OpenReply, s
 	if limit := MaxFrameBytes - frameOverhead; batchBytes > limit {
 		return nil, OpenReply{}, "", fmt.Errorf("batch_bytes %d exceeds the %d-byte Data payload limit", batchBytes, limit)
 	}
+	// Resolved before any tenant accounting or memo: a name that is not an
+	// algorithm must leave no shape behind.
+	alg, err := compress.ByName(req.Algorithm)
+	if err != nil {
+		s.recordShed(tenant, ShedUnknownAlgorithm)
+		return nil, OpenReply{}, ShedUnknownAlgorithm, nil
+	}
 
 	s.mu.Lock()
 	ts := s.tenants[tenant]
@@ -869,7 +871,7 @@ func (s *Server) openSession(id uint32, req OpenRequest) (*session, OpenReply, s
 	// A first open of the shape plans it outside any lock, so it stalls no
 	// open of another shape.
 	key := depKey{algorithm: req.Algorithm, batchBytes: batchBytes, lset: slo.LSetUSPerByte}
-	p := s.deps.get(key, func() *planned { return s.plan(sh, key) })
+	p := s.deps.get(key, func() *planned { return s.plan(sh, alg, key) })
 	if p.err != nil {
 		s.release(sh, ts)
 		s.recordShed(tenant, ShedUnknownAlgorithm)

@@ -23,7 +23,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dataset"
 	"repro/internal/exp"
-	"repro/internal/pipesim"
 	"repro/internal/sched"
 	"repro/internal/segstore"
 	"repro/internal/serve"
@@ -483,22 +482,6 @@ func BenchmarkExtPlatformsJetson(b *testing.B) {
 		dep, err := pl.DeployProfile(w, prof, core.MechCStream)
 		if err != nil || !dep.Feasible {
 			b.Fatal("deployment failed")
-		}
-	}
-}
-
-// BenchmarkPipesim measures the discrete-event simulator itself.
-func BenchmarkPipesim(b *testing.B) {
-	m := amp.NewRK3399()
-	g := ablationGraph()
-	p := costmodel.Plan{4, 5, 0, 1, 2}
-	cfg := pipesim.DefaultConfig()
-	cfg.Batches = 50
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipesim.Simulate(m, g, p, cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -5,6 +5,16 @@
 // External http(s)/mailto links are skipped — the CI runner is offline and
 // their liveness is not this tool's business.
 //
+// Backticked repository paths are references too: in the documents that
+// describe this tree, a code span that starts with internal/, cmd/, pkg/,
+// examples/ or benchmark/ must name an existing file or directory, relative
+// to the current directory (the repository root). `dir/file.go:N` names
+// dir/file.go, and `dir/pkg.Ident` names the package directory dir/pkg.
+// Those documents are the five in treeDocs and every document below the
+// root; the other root documents hold history (CHANGES.md), plans
+// (ROADMAP.md) or other people's work (PAPER.md, PAPERS.md, SNIPPETS.md),
+// whose paths need not exist here.
+//
 // Usage:
 //
 //	cstream-linkcheck README.md DESIGN.md OBSERVABILITY.md
@@ -35,7 +45,7 @@ func main() {
 	}
 	var broken int
 	for _, f := range files {
-		problems, err := checkFile(f)
+		problems, err := checkFile(".", f)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cstream-linkcheck: %v\n", err)
 			os.Exit(1)
@@ -77,14 +87,69 @@ func findMarkdown(root string) ([]string, error) {
 // Image links share the syntax. Targets never contain ')' in this repo.
 var linkRe = regexp.MustCompile(`\]\(([^()\s]+)\)`)
 
-// checkFile returns one formatted problem line per broken reference in path.
-func checkFile(path string) ([]string, error) {
+// codeSpanRe extracts inline code spans: the text between single backticks.
+var codeSpanRe = regexp.MustCompile("`([^`]+)`")
+
+// lineSuffixRe matches a trailing line reference: :N, :N-M or :N,M.
+var lineSuffixRe = regexp.MustCompile(`:\d+([-,]\d+)*$`)
+
+// repoPathPrefixes are the top-level directories whose backticked paths are
+// checked.
+var repoPathPrefixes = []string{"internal/", "cmd/", "pkg/", "examples/", "benchmark/"}
+
+// treeDocs are the root documents whose backticked paths are checked.
+var treeDocs = map[string]bool{
+	"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true,
+	"OBSERVABILITY.md": true, "STORAGE.md": true,
+}
+
+// describesTree reports whether the document at path, relative to root,
+// describes this tree: one of treeDocs, or any document below the root.
+func describesTree(root, path string) bool {
+	rel, err := filepath.Rel(root, path)
+	if err != nil {
+		return false
+	}
+	return filepath.Dir(rel) != "." || treeDocs[rel]
+}
+
+// repoPath returns the repository path a code span names, and false when the
+// span does not start with one of repoPathPrefixes. Only the span's first
+// word counts, so `cmd/cstream-bench -run all` names cmd/cstream-bench.
+func repoPath(span string) (string, bool) {
+	p, _, _ := strings.Cut(span, " ")
+	for _, prefix := range repoPathPrefixes {
+		if strings.HasPrefix(p, prefix) {
+			return lineSuffixRe.ReplaceAllString(p, ""), true
+		}
+	}
+	return "", false
+}
+
+// pathExists reports whether p, relative to root, names (or, as a glob,
+// matches) a file or directory, or is a package-qualified identifier
+// dir/pkg.Ident whose dir/pkg exists.
+func pathExists(root, p string) bool {
+	full := filepath.Join(root, filepath.FromSlash(p))
+	if matches, _ := filepath.Glob(full); len(matches) > 0 {
+		return true
+	}
+	dir, base := filepath.Split(full)
+	pkg, _, ok := strings.Cut(base, ".")
+	st, err := os.Stat(filepath.Join(dir, pkg))
+	return ok && pkg != "" && err == nil && st.IsDir()
+}
+
+// checkFile returns one formatted problem line per broken reference in path;
+// backticked repository paths resolve against root.
+func checkFile(root, path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
 	var problems []string
 	dir := filepath.Dir(path)
+	checkPaths := describesTree(root, path)
 	// anchors memoizes the heading-slug set per referenced markdown file.
 	anchors := map[string]map[string]bool{}
 	anchorsOf := func(mdPath string) (map[string]bool, error) {
@@ -108,6 +173,11 @@ func checkFile(path string) ([]string, error) {
 		}
 		if inFence {
 			continue
+		}
+		for _, m := range codeSpanRe.FindAllStringSubmatch(line, -1) {
+			if p, ok := repoPath(m[1]); ok && checkPaths && !pathExists(root, p) {
+				problems = append(problems, fmt.Sprintf("%s:%d: missing path: %s", path, i+1, m[1]))
+			}
 		}
 		for _, m := range linkRe.FindAllStringSubmatch(line, -1) {
 			target := m[1]

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -347,7 +348,7 @@ func TestRunBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := dep.RunBatch(w, 0)
+		res, err := dep.RunBatchObserved(context.Background(), w, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +366,7 @@ func TestRunBatchRoundTrip(t *testing.T) {
 	}
 	// Wrong workload rejected.
 	other := NewWorkload(compress.NewLZ4(), dataset.NewRovio(1))
-	if _, err := dep.RunBatch(other, 0); err == nil {
+	if _, err := dep.RunBatchObserved(context.Background(), other, 0, nil); err == nil {
 		t.Fatal("mismatched workload must fail")
 	}
 }

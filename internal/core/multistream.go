@@ -8,52 +8,14 @@ import (
 	"repro/internal/compress"
 	"repro/internal/costmodel"
 	"repro/internal/stream"
-	"repro/internal/telemetry"
 )
 
 // Multi-stream runtime: an IoT gateway rarely serves one sensor. The
-// MultiStreamRuntime schedules N concurrent compression streams over one
-// planner and one simulated board, so the plan cache and the plan search are
-// exercised under contention, and reports how shared core capacity
-// stretched each stream's latency.
-//
-// Two entry points share it: RunMultiStream drives a fixed batch count per
-// workload (the paper-style closed experiment), while the serve layer
-// attaches and detaches StreamHandles as network sessions come and go,
-// pushing caller-supplied batches through RunBatch.
-
-// StreamReport summarizes one stream of a multi-stream run.
-type StreamReport struct {
-	// Workload names the stream's algorithm-dataset pair.
-	Workload string
-	// Plan is the placement the stream ran under.
-	Plan costmodel.Plan
-	// Feasible reports the planner's feasibility verdict.
-	Feasible bool
-	// Batches is the number of batches actually processed (can be short of
-	// the request when the context is cancelled).
-	Batches int
-	// MeanLatencyPerByte and MeanEnergyPerByte average the measured batches,
-	// with latency stretched by the observed capacity contention.
-	MeanLatencyPerByte, MeanEnergyPerByte float64
-	// PeakContention is the worst capacity-contention factor the stream saw
-	// (1.0 = had its cores to itself).
-	PeakContention float64
-	// Violations counts batches whose stretched latency broke L_set.
-	Violations int
-}
-
-// MultiStreamReport aggregates a multi-stream run.
-type MultiStreamReport struct {
-	Streams []StreamReport
-	// Searches / CacheHits / CacheMisses are planner-counter deltas over the
-	// run (zero hits and misses when no plan cache is enabled).
-	Searches               int64
-	CacheHits, CacheMisses int64
-	// PeakCoreLoad is the highest per-core busy time (µs per stream byte)
-	// that was ever resident concurrently on one core.
-	PeakCoreLoad float64
-}
+// MultiStreamRuntime hosts concurrent compression streams over one planner
+// and one simulated board, and reports how shared core capacity stretched
+// each stream's latency. The serve layer is its one user: it attaches and
+// detaches StreamHandles as network sessions come and go, and pushes
+// caller-supplied batches through RunBatch.
 
 // capacityLedger tracks how much per-core busy time the resident streams
 // have claimed, the shared-capacity view the contention factors come from.
@@ -118,9 +80,9 @@ func coreBusy(d *Deployment, numCores int) []float64 {
 }
 
 // MultiStreamRuntime hosts concurrent compression streams on one planner and
-// one simulated board. Streams attach with a planned deployment, run batches
-// (simulated, or real bytes through the planned pipeline), and detach; the
-// shared capacity ledger converts co-residency into per-batch contention
+// one simulated board. Streams attach with a planned deployment, push real
+// batch bytes through the planned pipeline, and detach; the shared capacity
+// ledger converts co-residency into per-batch contention
 // factors. All methods are safe for concurrent use; an individual
 // StreamHandle serves one stream and is not.
 type MultiStreamRuntime struct {
@@ -135,9 +97,6 @@ type MultiStreamRuntime struct {
 func NewMultiStreamRuntime(pl *Planner) *MultiStreamRuntime {
 	return &MultiStreamRuntime{pl: pl, ledger: newCapacityLedger(pl.Machine.NumCores())}
 }
-
-// Planner returns the shared planner.
-func (rt *MultiStreamRuntime) Planner() *Planner { return rt.pl }
 
 // Attached returns the number of currently attached streams.
 func (rt *MultiStreamRuntime) Attached() int {
@@ -209,18 +168,14 @@ type StreamHandle struct {
 	meas   costmodel.Measurement
 	exBusy []float64
 
-	batches        int
-	violations     int
-	sumL, sumE     float64
-	peakContention float64
-	detached       bool
+	batches    int
+	violations int
+	sumE       float64
+	detached   bool
 }
 
 // Deployment returns the plan the stream runs under.
 func (h *StreamHandle) Deployment() *Deployment { return h.dep }
-
-// Workload returns the stream's workload.
-func (h *StreamHandle) Workload() Workload { return h.w }
 
 // measure runs the stream's plan once on the simulated board into h.meas.
 func (h *StreamHandle) measure() {
@@ -234,13 +189,9 @@ func (h *StreamHandle) account(contention float64) BatchMeasure {
 	lat := m.LatencyPerByte * contention
 	violated := lat > h.w.LSet
 	h.batches++
-	h.sumL += lat
 	h.sumE += m.EnergyPerByte
 	if violated {
 		h.violations++
-	}
-	if contention > h.peakContention {
-		h.peakContention = contention
 	}
 	h.rt.pl.recordBatch(lat, m.EnergyPerByte, violated)
 	return BatchMeasure{
@@ -251,21 +202,12 @@ func (h *StreamHandle) account(contention float64) BatchMeasure {
 	}
 }
 
-// Simulate executes one batch of the stream's plan on the platform model
-// under the runtime's shared capacity: the stream claims its per-core busy
-// time for the duration, and the simulated latency is stretched by the worst
-// co-residency factor observed.
-func (h *StreamHandle) Simulate() BatchMeasure {
-	contention := h.rt.ledger.acquire(h.busy)
-	h.measure()
-	h.rt.ledger.release(h.busy)
-	return h.account(contention)
-}
-
 // RunBatch compresses caller-supplied batch bytes through the stream's
 // planned pipeline (the same RunBatchData path the facade's Session.Push
-// drives) while claiming shared capacity exactly as Simulate does, and
-// returns the real compressed output alongside the simulated measurement.
+// drives) while the stream claims its per-core busy time in the runtime's
+// capacity ledger, and returns the real compressed output alongside the
+// simulated measurement, its latency stretched by the worst co-residency
+// factor observed.
 func (h *StreamHandle) RunBatch(ctx context.Context, b *stream.Batch) (*compress.PipelineResult, BatchMeasure, error) {
 	contention := h.rt.ledger.acquire(h.busy)
 	res, err := h.dep.RunBatchData(ctx, h.w.Algorithm, b, nil)
@@ -276,23 +218,6 @@ func (h *StreamHandle) RunBatch(ctx context.Context, b *stream.Batch) (*compress
 	h.measure()
 	h.rt.ledger.release(h.busy)
 	return res, h.account(contention), nil
-}
-
-// Report summarizes the stream so far.
-func (h *StreamHandle) Report() StreamReport {
-	rep := StreamReport{
-		Workload:       h.w.Name(),
-		Plan:           h.dep.Plan.Clone(),
-		Feasible:       h.dep.Feasible,
-		Batches:        h.batches,
-		PeakContention: h.peakContention,
-		Violations:     h.violations,
-	}
-	if h.batches > 0 {
-		rep.MeanLatencyPerByte = h.sumL / float64(h.batches)
-		rep.MeanEnergyPerByte = h.sumE / float64(h.batches)
-	}
-	return rep
 }
 
 // Detach ends the stream: its CLCV and mean energy are gauged into the
@@ -311,79 +236,4 @@ func (h *StreamHandle) Detach() {
 	h.rt.mu.Lock()
 	h.rt.attached--
 	h.rt.mu.Unlock()
-}
-
-// RunMultiStream deploys every workload with CStream on the shared planner
-// and processes `batches` batches per stream concurrently, each stream in
-// its own goroutine against the shared capacity ledger. Context cancellation
-// stops all streams after their current batch; the partial report and
-// ctx.Err() are returned.
-func RunMultiStream(ctx context.Context, pl *Planner, workloads []Workload, batches, profileBatches int) (*MultiStreamReport, error) {
-	return RunMultiStreamPolicy(ctx, pl, workloads, batches, profileBatches, MechCStream)
-}
-
-// RunMultiStreamPolicy is RunMultiStream parameterized over the scheduling
-// policy: every stream is deployed through the named registered policy.
-func RunMultiStreamPolicy(ctx context.Context, pl *Planner, workloads []Workload, batches, profileBatches int, policyName string) (*MultiStreamReport, error) {
-	if len(workloads) == 0 {
-		return nil, fmt.Errorf("core: no workloads")
-	}
-	if _, err := lookupPolicy(policyName); err != nil {
-		return nil, err
-	}
-	if batches < 1 {
-		batches = 1
-	}
-	if profileBatches < 1 {
-		profileBatches = 1
-	}
-	searches0 := pl.SearchCount()
-	cs0 := pl.PlanCacheStats()
-
-	rt := NewMultiStreamRuntime(pl)
-	reports := make([]StreamReport, len(workloads))
-	errs := make([]error, len(workloads))
-	var wg sync.WaitGroup
-	for si, w := range workloads {
-		wg.Add(1)
-		go func(si int, w Workload) {
-			defer wg.Done()
-			prof := ProfileWorkload(w, profileBatches, 0)
-			dep, err := pl.DeployProfile(w, prof, policyName)
-			if err != nil {
-				errs[si] = err
-				return
-			}
-			h, err := rt.Attach(w, dep)
-			if err != nil {
-				errs[si] = err
-				return
-			}
-			for b := 0; b < batches; b++ {
-				if ctx.Err() != nil {
-					break
-				}
-				h.Simulate()
-			}
-			reports[si] = h.Report()
-			h.Detach()
-		}(si, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	cs1 := pl.PlanCacheStats()
-	out := &MultiStreamReport{
-		Streams:      reports,
-		Searches:     pl.SearchCount() - searches0,
-		CacheHits:    cs1.Hits - cs0.Hits,
-		CacheMisses:  cs1.Misses - cs0.Misses,
-		PeakCoreLoad: rt.PeakCoreLoad(),
-	}
-	pl.Telemetry.Metrics().Gauge(telemetry.MetricPeakCoreLoad).Set(out.PeakCoreLoad)
-	return out, ctx.Err()
 }

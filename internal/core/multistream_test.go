@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -30,68 +29,51 @@ func multiWorkloads(t *testing.T) []Workload {
 	return out
 }
 
-func TestRunMultiStream(t *testing.T) {
-	pl, err := NewPlanner(amp.NewRK3399(), 7)
-	if err != nil {
-		t.Fatal(err)
+// TestCapacityLedgerContention pins the ledger's arithmetic: a claim's
+// contention factor is the worst ratio, over the cores it uses, of the total
+// resident load to its own load; releases return every core to 0; and the
+// runtime's PeakCoreLoad keeps the high-water mark after the loads are gone.
+// The loads are exact binary fractions, so every comparison is exact.
+func TestCapacityLedgerContention(t *testing.T) {
+	rt := &MultiStreamRuntime{ledger: newCapacityLedger(4)}
+	cl := rt.ledger
+	a := []float64{2, 0, 1, 0}
+	b := []float64{2, 0, 3, 0}
+	if f := cl.acquire(a); f != 1 {
+		t.Fatalf("exclusive claim: factor %v, want 1", f)
 	}
-	pl.EnablePlanCache(32)
-	ws := multiWorkloads(t)
-
-	rep, err := RunMultiStream(context.Background(), pl, ws, 3, 2)
-	if err != nil {
-		t.Fatal(err)
+	// Core 0 holds 2+2 against b's 2, core 2 holds 1+3 against b's 3: the
+	// worse ratio is core 0's.
+	if f := cl.acquire(b); f != 4.0/2 {
+		t.Fatalf("shared claim: factor %v, want 2", f)
 	}
-	if len(rep.Streams) != len(ws) {
-		t.Fatalf("streams = %d, want %d", len(rep.Streams), len(ws))
+	if got := rt.PeakCoreLoad(); got != 4 {
+		t.Fatalf("peak load %v, want 4", got)
 	}
-	if rep.Searches == 0 {
-		t.Fatal("expected plan searches on a cold cache")
-	}
-	for _, s := range rep.Streams {
-		if s.Batches != 3 {
-			t.Fatalf("%s: batches = %d, want 3", s.Workload, s.Batches)
-		}
-		if s.MeanLatencyPerByte <= 0 || s.MeanEnergyPerByte <= 0 {
-			t.Fatalf("%s: non-positive measurements %+v", s.Workload, s)
-		}
-		if s.PeakContention < 1 {
-			t.Fatalf("%s: contention %f < 1", s.Workload, s.PeakContention)
-		}
-		if len(s.Plan) == 0 {
-			t.Fatalf("%s: empty plan", s.Workload)
+	cl.release(b)
+	cl.release(a)
+	for c, l := range cl.load {
+		if l != 0 {
+			t.Fatalf("core %d holds %v after every claim was released", c, l)
 		}
 	}
-
-	// A second run over the same regimes must be served from the cache.
-	rep2, err := RunMultiStream(context.Background(), pl, ws, 3, 2)
-	if err != nil {
-		t.Fatal(err)
+	if got := rt.PeakCoreLoad(); got != 4 {
+		t.Fatalf("peak load %v after release, want the high-water mark 4", got)
 	}
-	if rep2.CacheHits == 0 {
-		t.Fatal("expected cache hits on the second run")
+	// A claim on released cores is exclusive again, and so is a claim of
+	// nothing.
+	if f := cl.acquire([]float64{0, 0, 3, 0}); f != 1 {
+		t.Fatalf("claim on released cores: factor %v, want 1", f)
 	}
-	if rep2.Searches >= rep.Searches {
-		t.Fatalf("warm run searched %d times, cold run %d", rep2.Searches, rep.Searches)
+	if f := cl.acquire(make([]float64, 4)); f != 1 {
+		t.Fatalf("empty claim: factor %v, want 1", f)
 	}
-}
-
-func TestRunMultiStreamCancel(t *testing.T) {
-	pl, err := NewPlanner(amp.NewRK3399(), 7)
-	if err != nil {
-		t.Fatal(err)
+	// a's core 2 now shares with the 3 just claimed: (1+3)/1.
+	if f := cl.acquire(a); f != 4.0/1 {
+		t.Fatalf("claim beside a resident one: factor %v, want 4", f)
 	}
-	ws := multiWorkloads(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	rep, err := RunMultiStream(ctx, pl, ws, 50, 1)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for _, s := range rep.Streams {
-		if s.Batches != 0 {
-			t.Fatalf("%s: processed %d batches after cancellation", s.Workload, s.Batches)
-		}
+	if got := rt.PeakCoreLoad(); got != 4 {
+		t.Fatalf("peak load %v after the loads rose again to 4, want 4", got)
 	}
 }
 
@@ -135,7 +117,10 @@ func TestAttachMeasuresLikeFreshExecutor(t *testing.T) {
 				}
 				fresh := pl.executorFor(pol, w)
 				for b := 0; b < 64; b++ {
-					bm := h.Simulate()
+					contention := rt.ledger.acquire(h.busy)
+					h.measure()
+					rt.ledger.release(h.busy)
+					bm := h.account(contention)
 					want := fresh.Run(dep.Graph, dep.Plan)
 					got := h.meas
 					same := got.LatencyPerByte == want.LatencyPerByte && got.EnergyPerByte == want.EnergyPerByte &&

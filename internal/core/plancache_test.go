@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/dataset"
 	"repro/internal/telemetry"
 )
 
@@ -103,5 +105,45 @@ func TestPlannerPlanCachePersistReload(t *testing.T) {
 	plD.EnablePlanCache(16)
 	if n, err := plD.LoadPlanCache(filepath.Join(dir, "nope.cspc")); err != nil || n != 0 {
 		t.Fatalf("missing file: n=%d err=%v, want 0, nil", n, err)
+	}
+}
+
+// TestAdaptivePlanCacheFewerSearches replays Fig. 9's two passes (without,
+// then with regulation; range 500 → 50 000 after batch 5) through the
+// adaptation loop on one planner, once without a plan cache and once with
+// one. The second pass plans the calm regime again, so the cached planner
+// must serve at least one plan from the cache and search strictly fewer
+// times.
+func TestAdaptivePlanCacheFewerSearches(t *testing.T) {
+	run := func(cacheCap int) (searches, hits int64) {
+		pl := newPlanner(t)
+		if cacheCap > 0 {
+			pl.EnablePlanCache(cacheCap)
+		}
+		for _, regulate := range []bool{false, true} {
+			micro := dataset.NewMicro(1)
+			micro.DynamicRange = 500
+			ad, err := NewAdaptive(pl, NewWorkload(compress.NewTcomp32(), micro), regulate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 15; i++ {
+				if i == 5 {
+					micro.DynamicRange = 50000
+				}
+				ad.ProcessBatch(i)
+			}
+			pl.Model.SetCalibration(1, 1)
+		}
+		return pl.SearchCount(), pl.PlanCacheStats().Hits
+	}
+	plain, _ := run(0)
+	cached, hits := run(16)
+	t.Logf("searches: %d without a cache, %d with one (%d hits)", plain, cached, hits)
+	if cached >= plain {
+		t.Fatalf("cached planner searched %d times, uncached %d", cached, plain)
+	}
+	if hits < 1 {
+		t.Fatalf("cache hits = %d, want ≥ 1", hits)
 	}
 }

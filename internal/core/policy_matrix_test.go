@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func TestPolicyMatrixRoundTrip(t *testing.T) {
 				if dep.Mechanism != pol {
 					t.Fatalf("%s %s: deployment reports policy %q", w.Name(), pol, dep.Mechanism)
 				}
-				res, err := dep.RunBatch(w, 0)
+				res, err := dep.RunBatchObserved(context.Background(), w, 0, nil)
 				if err != nil {
 					t.Fatalf("%s %s: run: %v", w.Name(), pol, err)
 				}
@@ -56,7 +57,7 @@ func TestPolicyMatrixRoundTrip(t *testing.T) {
 }
 
 // An unregistered policy name must fail with an error that lists the
-// registered ones, both from Deploy and from the multi-stream runtime.
+// registered ones.
 func TestUnknownPolicyRejected(t *testing.T) {
 	pl := newPlanner(t)
 	w := tcomp32Rovio()
@@ -64,9 +65,6 @@ func TestUnknownPolicyRejected(t *testing.T) {
 		t.Fatal("Deploy accepted an unregistered policy")
 	} else if !strings.Contains(err.Error(), MechCStream) {
 		t.Fatalf("error does not list registered policies: %v", err)
-	}
-	if _, err := RunMultiStreamPolicy(t.Context(), pl, []Workload{w}, 1, 1, "no-such-policy"); err == nil {
-		t.Fatal("RunMultiStreamPolicy accepted an unregistered policy")
 	}
 }
 

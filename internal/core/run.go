@@ -40,24 +40,14 @@ func stageWorkers(alg compress.Algorithm, tasks []LogicalTask) []int {
 	return workers
 }
 
-// RunBatch functionally compresses batch index of the workload through the
-// deployment's pipeline: each of the batch's slices runs the algorithm's
-// kernel, with data parallelism bounded by the replication decision. The compressed
-// output is real and independently decodable per slice.
-func (d *Deployment) RunBatch(w Workload, index int) (*compress.PipelineResult, error) {
-	return d.RunBatchCtx(context.Background(), w, index)
-}
-
-// RunBatchCtx is RunBatch with cooperative cancellation plumbed into the
-// pipelined runtime.
-func (d *Deployment) RunBatchCtx(ctx context.Context, w Workload, index int) (*compress.PipelineResult, error) {
-	return d.RunBatchObserved(ctx, w, index, nil)
-}
-
-// RunBatchObserved is RunBatchCtx with a per-slice observer: obs receives one
-// callback per completed slice, named after the algorithm, which is how the
-// telemetry layer records execution spans from live runs. A nil obs is the
-// plain unobserved path.
+// RunBatchObserved functionally compresses batch index of the workload
+// through the deployment's pipeline: each of the batch's slices runs the
+// algorithm's kernel, with data parallelism bounded by the replication
+// decision, and ctx cancels the pipelined runtime cooperatively. The
+// compressed output is real and independently decodable per slice. obs
+// receives one callback per completed slice, named after the algorithm,
+// which is how the telemetry layer records execution spans from live runs;
+// a nil obs is the plain unobserved path.
 func (d *Deployment) RunBatchObserved(ctx context.Context, w Workload, index int, obs compress.StageObserver) (*compress.PipelineResult, error) {
 	if w.Name() != d.Workload {
 		return nil, fmt.Errorf("core: deployment is for %s, got %s", d.Workload, w.Name())
@@ -67,7 +57,7 @@ func (d *Deployment) RunBatchObserved(ctx context.Context, w Workload, index int
 
 // RunBatchData compresses a caller-supplied batch through the deployment's
 // planned pipeline — the source-agnostic execution path shared by the
-// dataset-bound entry points above, the facade's Session.Push, and the serve
+// dataset-bound entry point above, the facade's Session.Push, and the serve
 // layer's per-session stream handles. The batch's bytes need not come from
 // the profiled dataset; the plan only fixes the parallel width, never the
 // output bytes.

@@ -42,7 +42,7 @@ func TestSharedDeploymentConcurrentCallers(t *testing.T) {
 	const callers, batches = 8, 50
 	want := make([][]compress.Segment, batches)
 	for i := range want {
-		res, err := dep.RunBatch(w, i)
+		res, err := dep.RunBatchObserved(context.Background(), w, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestPaperBatchKeepsTwelveSlices(t *testing.T) {
 		if slices != 12 {
 			t.Fatalf("%s: %d slices at B=932800, want 12", alg.Name(), slices)
 		}
-		got, err := dep.RunBatch(w, 0)
+		got, err := dep.RunBatchObserved(context.Background(), w, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

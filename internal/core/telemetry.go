@@ -12,9 +12,9 @@ import (
 
 // searchTally accumulates the plan-search effort behind one scheduling
 // decision. DeployProfile and the adaptation loops each thread their own
-// tally through the search call chain, so concurrent deploys (RunMultiStream)
-// attribute nodes and wall time to the right decision without sharing mutable
-// planner state.
+// tally through the search call chain, so concurrent deploys (serve sessions
+// opening at once) attribute nodes and wall time to the right decision
+// without sharing mutable planner state.
 type searchTally struct {
 	searches int64
 	nodes    int64

@@ -1,23 +1,21 @@
-// Package pipesim is a discrete-event simulator of a deployed compression
-// pipeline: batches flow through the scheduled task graph with per-batch
-// computation and communication delays, bounded inter-task queues and
-// backpressure. Where the cost model reasons about the steady state
-// (Eq. 2's max over stage latencies), pipesim exposes the transient
-// behaviour — warm-up latency of the first batches, queue occupancy, core
-// utilization — and doubles as an independent check that the steady-state
-// algebra is right.
-package pipesim
+package costmodel
+
+// This file holds a discrete-event simulator of a deployed compression
+// pipeline, kept as a test-only oracle for the steady-state algebra of Eq. 2:
+// batches flow through the scheduled task graph with per-batch computation
+// and communication delays, bounded inter-task queues and backpressure, and
+// the tests in pipesim_test.go check that the period the pipeline settles
+// into equals the bottleneck bound Estimate reasons about.
 
 import (
 	"fmt"
 	"math"
 
 	"repro/internal/amp"
-	"repro/internal/costmodel"
 )
 
-// Config controls a simulation run.
-type Config struct {
+// pipeConfig controls a simulation run.
+type pipeConfig struct {
 	// Batches is the number of batches to push through the pipeline.
 	Batches int
 	// QueueCapacity bounds each producer→consumer queue, in batches; a task
@@ -28,13 +26,13 @@ type Config struct {
 	Sampler *amp.Sampler
 }
 
-// DefaultConfig simulates 20 batches with depth-2 queues.
-func DefaultConfig() Config {
-	return Config{Batches: 20, QueueCapacity: 2}
+// defaultPipeConfig simulates 20 batches with depth-2 queues.
+func defaultPipeConfig() pipeConfig {
+	return pipeConfig{Batches: 20, QueueCapacity: 2}
 }
 
-// Result reports the simulated timeline.
-type Result struct {
+// pipeResult reports the simulated timeline.
+type pipeResult struct {
 	// Start and Finish are per-task, per-batch times in µs.
 	Start, Finish [][]float64
 	// BatchLatencyUS is each batch's pipeline latency: last task finish
@@ -51,7 +49,7 @@ type Result struct {
 	MakespanUS float64
 }
 
-// Simulate runs graph g under plan p on machine m.
+// pipeSimulate runs graph g under plan p on machine m.
 //
 // Semantics: tasks process batches in order. Task i starts batch k once
 // (a) it finished batch k-1, (b) every upstream task's batch k has arrived
@@ -59,10 +57,10 @@ type Result struct {
 // (d) backpressure allows: every direct consumer has started batch
 // k-QueueCapacity. Co-located tasks serialize on their core in topological
 // order.
-func Simulate(m *amp.Machine, g *costmodel.Graph, p costmodel.Plan, cfg Config) (*Result, error) {
+func pipeSimulate(m *amp.Machine, g *Graph, p Plan, cfg pipeConfig) (*pipeResult, error) {
 	n := len(g.Tasks)
 	if n == 0 {
-		return &Result{MaxQueueDepth: map[[2]int]int{}}, nil
+		return &pipeResult{MaxQueueDepth: map[[2]int]int{}}, nil
 	}
 	if len(p) != n {
 		return nil, fmt.Errorf("pipesim: plan covers %d of %d tasks", len(p), n)
@@ -80,11 +78,11 @@ func Simulate(m *amp.Machine, g *costmodel.Graph, p costmodel.Plan, cfg Config) 
 	for i, t := range g.Tasks {
 		c := m.CompLatency(p[i], t.InstrPerByte, t.Kappa)
 		if t.Replicas > 1 {
-			c *= costmodel.ReplicaLatencyFactor
+			c *= ReplicaLatencyFactor
 		}
 		comp[i] = c * batchBytes
 	}
-	commDelay := func(e costmodel.Edge) float64 {
+	commDelay := func(e Edge) float64 {
 		from, to := p[e.From], p[e.To]
 		if from == to {
 			return 0
@@ -93,7 +91,7 @@ func Simulate(m *amp.Machine, g *costmodel.Graph, p costmodel.Plan, cfg Config) 
 			m.CommStaticOverheadUS(from, to)
 	}
 
-	res := &Result{
+	res := &pipeResult{
 		Start:          make([][]float64, n),
 		Finish:         make([][]float64, n),
 		BatchLatencyUS: make([]float64, cfg.Batches),
@@ -193,7 +191,7 @@ func Simulate(m *amp.Machine, g *costmodel.Graph, p costmodel.Plan, cfg Config) 
 
 // SteadyLatencyPerByte converts the steady-state period into the paper's
 // µs-per-byte unit for comparison with L_est.
-func (r *Result) SteadyLatencyPerByte(batchBytes int) float64 {
+func (r *pipeResult) SteadyLatencyPerByte(batchBytes int) float64 {
 	if batchBytes <= 0 {
 		return 0
 	}

@@ -1,27 +1,26 @@
-package pipesim
+package costmodel
 
 import (
 	"math"
 	"testing"
 
 	"repro/internal/amp"
-	"repro/internal/costmodel"
 )
 
-func twoTaskGraph() *costmodel.Graph {
-	return &costmodel.Graph{
-		Tasks: []costmodel.Task{
+func twoTaskGraph() *Graph {
+	return &Graph{
+		Tasks: []Task{
 			{ID: 0, Name: "t0", InstrPerByte: 300, Kappa: 320, Replicas: 1},
 			{ID: 1, Name: "t1", InstrPerByte: 130, Kappa: 102, Replicas: 1},
 		},
-		Edges:      []costmodel.Edge{{From: 0, To: 1, BytesPerStreamByte: 1.25}},
+		Edges:      []Edge{{From: 0, To: 1, BytesPerStreamByte: 1.25}},
 		BatchBytes: 64 * 1024,
 	}
 }
 
 func TestSimulateEmptyGraph(t *testing.T) {
 	m := amp.NewRK3399()
-	res, err := Simulate(m, &costmodel.Graph{BatchBytes: 1}, costmodel.Plan{}, DefaultConfig())
+	res, err := pipeSimulate(m, &Graph{BatchBytes: 1}, Plan{}, defaultPipeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestSimulateEmptyGraph(t *testing.T) {
 
 func TestSimulatePlanMismatch(t *testing.T) {
 	m := amp.NewRK3399()
-	if _, err := Simulate(m, twoTaskGraph(), costmodel.Plan{0}, DefaultConfig()); err == nil {
+	if _, err := pipeSimulate(m, twoTaskGraph(), Plan{0}, defaultPipeConfig()); err == nil {
 		t.Fatal("expected plan-size error")
 	}
 }
@@ -42,10 +41,10 @@ func TestSimulatePlanMismatch(t *testing.T) {
 func TestSteadyStateMatchesBottleneck(t *testing.T) {
 	m := amp.NewRK3399()
 	g := twoTaskGraph()
-	p := costmodel.Plan{m.BigCores()[0], m.LittleCores()[0]}
-	cfg := DefaultConfig()
+	p := Plan{m.BigCores()[0], m.LittleCores()[0]}
+	cfg := defaultPipeConfig()
 	cfg.Batches = 30
-	res, err := Simulate(m, g, p, cfg)
+	res, err := pipeSimulate(m, g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +61,10 @@ func TestSteadyStateMatchesBottleneck(t *testing.T) {
 func TestWarmupTransient(t *testing.T) {
 	m := amp.NewRK3399()
 	g := twoTaskGraph()
-	p := costmodel.Plan{m.BigCores()[0], m.LittleCores()[0]}
-	cfg := DefaultConfig()
+	p := Plan{m.BigCores()[0], m.LittleCores()[0]}
+	cfg := defaultPipeConfig()
 	cfg.Batches = 30
-	res, err := Simulate(m, g, p, cfg)
+	res, err := pipeSimulate(m, g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,10 +84,10 @@ func TestColocationSerializes(t *testing.T) {
 	m := amp.NewRK3399()
 	g := twoTaskGraph()
 	big := m.BigCores()[0]
-	p := costmodel.Plan{big, big}
-	cfg := DefaultConfig()
+	p := Plan{big, big}
+	cfg := defaultPipeConfig()
 	cfg.Batches = 30
-	res, err := Simulate(m, g, p, cfg)
+	res, err := pipeSimulate(m, g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +107,11 @@ func TestBackpressureBoundsQueues(t *testing.T) {
 	m := amp.NewRK3399()
 	g := twoTaskGraph()
 	// Fast producer on big, slow consumer on little.
-	p := costmodel.Plan{m.BigCores()[0], m.LittleCores()[0]}
-	cfg := DefaultConfig()
+	p := Plan{m.BigCores()[0], m.LittleCores()[0]}
+	cfg := defaultPipeConfig()
 	cfg.Batches = 25
 	cfg.QueueCapacity = 2
-	res, err := Simulate(m, g, p, cfg)
+	res, err := pipeSimulate(m, g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,19 +125,19 @@ func TestBackpressureBoundsQueues(t *testing.T) {
 }
 
 // The simulator must agree with the cost model's steady-state estimate for
-// the deployed plan (the independent-check purpose of this package).
+// the deployed plan (the independent check this oracle exists for).
 func TestAgreesWithEstimator(t *testing.T) {
 	m := amp.NewRK3399()
-	mod, err := costmodel.NewModel(m, 1)
+	mod, err := NewModel(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := twoTaskGraph()
-	p := costmodel.Plan{m.BigCores()[0], m.LittleCores()[0]}
+	p := Plan{m.BigCores()[0], m.LittleCores()[0]}
 	est := mod.Estimate(g, p, 1e9)
-	cfg := DefaultConfig()
+	cfg := defaultPipeConfig()
 	cfg.Batches = 30
-	res, err := Simulate(m, g, p, cfg)
+	res, err := pipeSimulate(m, g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +158,15 @@ func TestAgreesWithEstimator(t *testing.T) {
 func TestNoiseSpreadsButConverges(t *testing.T) {
 	m := amp.NewRK3399()
 	g := twoTaskGraph()
-	p := costmodel.Plan{m.BigCores()[0], m.LittleCores()[0]}
-	cfg := DefaultConfig()
+	p := Plan{m.BigCores()[0], m.LittleCores()[0]}
+	cfg := defaultPipeConfig()
 	cfg.Batches = 40
 	cfg.Sampler = amp.NewSampler(5)
-	res, err := Simulate(m, g, p, cfg)
+	res, err := pipeSimulate(m, g, p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := Simulate(m, g, p, Config{Batches: 40, QueueCapacity: 2})
+	clean, err := pipeSimulate(m, g, p, pipeConfig{Batches: 40, QueueCapacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,13 +227,10 @@ var drivers = map[string]driver{
 	"table5": {"Model correctness under optimal scheduling plans", (*Runner).Table5},
 
 	// Beyond the paper (its stated future work):
-	"ext-algs":        {"Extension algorithms (delta32, rle32) under CStream", (*Runner).ExtAlgorithms},
-	"ext-platforms":   {"CStream on a Jetson-TX2-class platform", (*Runner).ExtPlatforms},
-	"ext-adapt":       {"PID vs statistics-triggered adaptation", (*Runner).ExtAdaptive},
-	"ext-pipesim":     {"Discrete-event pipeline dynamics under CStream", (*Runner).ExtPipeline},
-	"ext-multistream": {"Concurrent streams on shared core capacity", (*Runner).ExtMultiStream},
-	"ext-policies":    {"One deploy per registered scheduling policy", (*Runner).ExtPolicies},
-	"ext-plancache":   {"Plan-cache effect on adaptation search cost", (*Runner).ExtPlanCache},
+	"ext-algs":      {"Extension algorithms (delta32, rle32) under CStream", (*Runner).ExtAlgorithms},
+	"ext-platforms": {"CStream on a Jetson-TX2-class platform", (*Runner).ExtPlatforms},
+	"ext-adapt":     {"PID vs statistics-triggered adaptation", (*Runner).ExtAdaptive},
+	"ext-policies":  {"One deploy per registered scheduling policy", (*Runner).ExtPolicies},
 }
 
 // IDs lists all experiment ids in a stable order.

@@ -2,6 +2,9 @@ package exp
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -28,8 +31,7 @@ func TestIDsCoverAllPaperArtifacts(t *testing.T) {
 	want := []string{
 		"fig3", "table2", "fig5", "fig7", "fig8", "fig9", "fig10", "fig11",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "table4", "table5",
-		"ext-algs", "ext-platforms", "ext-adapt", "ext-pipesim",
-		"ext-multistream", "ext-plancache", "ext-policies",
+		"ext-algs", "ext-platforms", "ext-adapt", "ext-policies",
 	}
 	have := map[string]bool{}
 	for _, id := range IDs() {
@@ -57,6 +59,26 @@ func TestTitleLookup(t *testing.T) {
 func TestUnknownExperiment(t *testing.T) {
 	if _, err := runner(t).Run("fig99"); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// results_full.txt is the recorded output of `cstream-bench -run all`. Its
+// sections must be exactly the registered experiments, in IDs order, so a
+// driver added or deleted without regenerating the file fails here.
+func TestResultsFileMatchesIDs(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "results_full.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			id, _, _ := strings.Cut(rest, ":")
+			got = append(got, id)
+		}
+	}
+	if !slices.Equal(got, IDs()) {
+		t.Fatalf("results_full.txt has sections %v, want %v; regenerate it with cstream-bench -run all", got, IDs())
 	}
 }
 

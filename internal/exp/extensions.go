@@ -7,7 +7,6 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/pipesim"
 	"repro/internal/policy"
 )
 
@@ -235,58 +234,5 @@ func (r *Runner) ExtAdaptive() (*Table, error) {
 	t.Notes = append(t.Notes, fmt.Sprintf(
 		"PID violates %d batch(es) before converging (≥3 calibration rounds, as the paper notes); the statistics-triggered controller violates %d (it replans inside the shift batch)",
 		pidViol, statsViol))
-	return t, nil
-}
-
-// ExtPipeline runs the discrete-event pipeline simulator on CStream's
-// tcomp32-Rovio deployment: per-batch latency through the warm-up transient,
-// steady-state throughput, core utilization and queue depths — the dynamics
-// the steady-state cost model (Eq. 2) abstracts away.
-func (r *Runner) ExtPipeline() (*Table, error) {
-	t := &Table{
-		ID:      "ext-pipesim",
-		Title:   "Discrete-event pipeline dynamics (tcomp32-Rovio under CStream)",
-		Columns: []string{"batch", "pipeline latency (µs/B)", "note"},
-	}
-	w, err := r.workload("tcomp32", "Rovio")
-	if err != nil {
-		return nil, err
-	}
-	dep, err := r.planner.Deploy(w, core.MechCStream)
-	if err != nil {
-		return nil, err
-	}
-	cfg := pipesim.DefaultConfig()
-	cfg.Batches = 12
-	res, err := pipesim.Simulate(r.machine, dep.Graph, dep.Plan, cfg)
-	if err != nil {
-		return nil, err
-	}
-	steady := res.SteadyLatencyPerByte(w.BatchBytes)
-	final := res.BatchLatencyUS[len(res.BatchLatencyUS)-1] / float64(w.BatchBytes)
-	for k, l := range res.BatchLatencyUS {
-		note := ""
-		perByte := l / float64(w.BatchBytes)
-		switch {
-		case k == 0:
-			note = "pipeline fill (first batch pays every stage)"
-		case perByte > final*1.02:
-			note = "" // still ramping? cannot happen after plateau
-		case perByte >= final*0.98:
-			note = "plateau (queue wait bounded by backpressure)"
-		}
-		t.AddRow(fmt.Sprint(k), f2(perByte), note)
-	}
-	t.Notes = append(t.Notes,
-		fmt.Sprintf("steady-state throughput period %.2f µs/B matches the cost model's bottleneck bound (Eq. 2)", steady),
-		"per-batch latency ramps from the fill cost to a plateau: the fast producer runs ahead until the bounded queues apply backpressure — the dynamics Eq. 2's steady-state algebra abstracts away")
-	for core, u := range res.Utilization {
-		if u > 0.01 {
-			t.Notes = append(t.Notes, fmt.Sprintf("core %d utilization %.0f%%", core, u*100))
-		}
-	}
-	for edge, depth := range res.MaxQueueDepth {
-		t.Notes = append(t.Notes, fmt.Sprintf("edge %d→%d peak queue depth %d batches", edge[0], edge[1], depth))
-	}
 	return t, nil
 }

@@ -227,64 +227,3 @@ func TestExtAdaptiveShape(t *testing.T) {
 		t.Fatalf("stats controller (%d violations) should beat PID (%d)", statsCount, pidCount)
 	}
 }
-
-// The pipeline-dynamics experiment must show per-batch latency ramping from
-// the fill cost to a backpressure-bounded plateau.
-func TestExtPipelineShape(t *testing.T) {
-	tab, err := runner(t).Run("ext-pipesim")
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := colIndex(t, tab, "pipeline latency (µs/B)")
-	n := len(tab.Rows)
-	first := cell(t, tab, 0, l)
-	last := cell(t, tab, n-1, l)
-	if last < first {
-		t.Fatalf("queueing should raise latency above the fill cost: %.2f -> %.2f", first, last)
-	}
-	// The plateau must be stable (last two batches within 5%).
-	prev := cell(t, tab, n-2, l)
-	if d := (last - prev) / last; d > 0.05 || d < -0.05 {
-		t.Fatalf("latency not plateaued: %.2f vs %.2f", prev, last)
-	}
-	if tab.Rows[n-1][2] != "plateau (queue wait bounded by backpressure)" {
-		t.Fatalf("final batch note = %q", tab.Rows[n-1][2])
-	}
-}
-
-// The multi-stream gateway run must cover every fast workload, keep
-// contention factors sane (≥1), and show the plan cache amortizing planning
-// on the repeat run (the driver itself enforces strictly fewer searches).
-func TestExtMultiStreamShape(t *testing.T) {
-	tab, err := runner(t).Run("ext-multistream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != len(fastWorkloads()) {
-		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(fastWorkloads()))
-	}
-	c := colIndex(t, tab, "peak contention")
-	for i := range tab.Rows {
-		if f := cell(t, tab, i, c); f < 1 {
-			t.Fatalf("row %d: contention %.2f < 1", i, f)
-		}
-	}
-}
-
-// The adaptation trace replayed with the plan cache must perform strictly
-// fewer full plan searches than without it, with at least one cache hit.
-func TestExtPlanCacheFewerSearches(t *testing.T) {
-	tab, err := runner(t).Run("ext-plancache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := colIndex(t, tab, "plan searches")
-	plain := cell(t, tab, 0, s)
-	cached := cell(t, tab, 1, s)
-	if cached >= plain {
-		t.Fatalf("cached run searched %.0f times, uncached %.0f", cached, plain)
-	}
-	if hits := cell(t, tab, 1, colIndex(t, tab, "cache hits")); hits < 1 {
-		t.Fatalf("cache hits = %.0f, want ≥1", hits)
-	}
-}

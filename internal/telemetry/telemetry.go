@@ -72,9 +72,6 @@ const (
 	// MetricCoreUtilPrefix + core index gauges the simulated per-core
 	// utilization of the most recent deployment (busy time / makespan).
 	MetricCoreUtilPrefix = "core.util."
-	// MetricPeakCoreLoad gauges the highest per-core busy time (µs per stream
-	// byte) concurrently resident on one core during a multi-stream run.
-	MetricPeakCoreLoad = "core.peak_load_us_per_byte"
 )
 
 // Sink bundles the three telemetry surfaces — metrics registry, decision

@@ -213,7 +213,7 @@ func TestDecisionLogSeqStreamAndJSONL(t *testing.T) {
 func TestSinkMetricsJSONDeterministic(t *testing.T) {
 	s := New()
 	s.Metrics().Counter(MetricBatches).Add(7)
-	s.Metrics().Gauge(MetricPeakCoreLoad).Set(0.25)
+	s.Metrics().Gauge(MetricCoreUtilPrefix + "0").Set(0.25)
 	a, err := s.MetricsJSON()
 	if err != nil {
 		t.Fatal(err)

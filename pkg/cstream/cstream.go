@@ -80,10 +80,9 @@ type config struct {
 	errs []error
 }
 
-// Option customizes Open, NewSession, NewDrone and RunStreams. Every With*
-// option validates its argument when the constructor applies it; an
-// out-of-range value fails the constructor with an error wrapping
-// ErrInvalidOption.
+// Option customizes Open and NewSession. Every With* option validates its
+// argument when the constructor applies it; an out-of-range value fails the
+// constructor with an error wrapping ErrInvalidOption.
 type Option func(*config)
 
 // optionErr records one failed validation.
@@ -243,9 +242,8 @@ func applyOptions(opts []Option) (config, error) {
 	return cfg, nil
 }
 
-// setupPlanner applies the plan-lifecycle configuration shared by every
-// constructor (Open/NewSession, RunStreams, NewDrone): cache capacity, the
-// persisted-cache warm start, and telemetry.
+// setupPlanner applies the plan-lifecycle configuration Open and NewSession
+// share: cache capacity, the persisted-cache warm start, and telemetry.
 func setupPlanner(planner *core.Planner, cfg *config) error {
 	capacity := cfg.planCache
 	if capacity == 0 && cfg.planCacheFile != "" {

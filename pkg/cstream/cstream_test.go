@@ -164,66 +164,6 @@ func TestProcessBatchRequiresAdaptation(t *testing.T) {
 	}
 }
 
-func TestRunStreams(t *testing.T) {
-	specs := []cstream.StreamSpec{
-		{Algorithm: "tcomp32", Dataset: "Rovio"},
-		{Algorithm: "lz4", Dataset: "Stock"},
-	}
-	rep, err := cstream.RunStreams(context.Background(), specs, 2,
-		cstream.WithSeed(7),
-		cstream.WithBatchBytes(64<<10),
-		cstream.WithProfileBatches(2),
-		cstream.WithPlanCache(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Streams) != 2 {
-		t.Fatalf("streams = %d", len(rep.Streams))
-	}
-	for _, s := range rep.Streams {
-		if s.Batches != 2 || s.MeanLatencyPerByte <= 0 {
-			t.Fatalf("bad stream report %+v", s)
-		}
-	}
-	if rep.Searches == 0 {
-		t.Fatal("expected plan searches")
-	}
-}
-
-func TestDroneMissions(t *testing.T) {
-	d, err := cstream.NewDrone(100, cstream.LoRaClassRadio(),
-		cstream.WithSeed(7),
-		cstream.WithBatchBytes(64<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := d.BatteryJ()
-	rep, err := d.GatherCompressed("tdic32", "Rovio", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Batches != 2 || rep.UplinkBytes >= rep.RawBytes {
-		t.Fatalf("bad mission report %+v", rep)
-	}
-	if d.BatteryJ() >= before {
-		t.Fatal("battery did not drain")
-	}
-	raw, err := d.GatherRaw("tdic32", "Rovio", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.UplinkBytes != raw.RawBytes {
-		t.Fatalf("raw mission compressed: %+v", raw)
-	}
-	worth, margin, err := d.CompressionWorthIt("tdic32", "Rovio", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !worth || margin <= 0 {
-		t.Fatalf("LoRa compression should be worth it (worth=%v margin=%f)", worth, margin)
-	}
-}
-
 func TestGovernors(t *testing.T) {
 	govs := cstream.Governors()
 	if len(govs) != 3 {

@@ -23,8 +23,8 @@ var (
 	// SLO class demands a feasible plan.
 	ErrInfeasible = errors.New("cstream: no feasible plan under the latency constraint")
 
-	// ErrInvalidOption is returned by Open, NewSession, NewDrone and
-	// RunStreams when a functional option received an out-of-range argument;
-	// the wrapped message names the option and the offending value.
+	// ErrInvalidOption is returned by Open and NewSession when a functional
+	// option received an out-of-range argument; the wrapped message names
+	// the option and the offending value.
 	ErrInvalidOption = errors.New("cstream: invalid option")
 )

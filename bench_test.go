@@ -637,8 +637,10 @@ func BenchmarkServeIngest(b *testing.B) { benchServeIngest(b, 8, 64) }
 // iteration builds a fresh four-shard server and, for every algorithm at
 // 4 KiB and 16 KiB under silver and bronze, holds four sessions open (one per
 // shard, since each open goes to the least-placed shard) and then closes
-// them, so every shard plans every shape once. The open sequence, and so the
-// work, is the same every iteration. The benchdiff gate pins its allocs/op,
+// them. The shards share the server's one planner, so the first open of a
+// shape profiles and plans it and the other three attach to the memoized
+// deployment. The open sequence, and so the work, is the same every
+// iteration. The benchdiff gate pins its allocs/op,
 // which count the profiling and planning a cold open pays.
 //
 // Client and server goroutines share sync.Pools, so how their Gets and Puts

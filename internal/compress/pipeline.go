@@ -108,6 +108,29 @@ func (r *PipelineResult) Ratio() float64 {
 	return float64(r.TotalBits) / float64(r.InputBytes*8)
 }
 
+// CopySegments copies r's segments into dst and returns the copy. dst's
+// backing array and each segment's Compressed buffer are reused past their
+// high-water marks, so a caller recycling dst copies without allocating. The
+// copy owns its bytes and carries no pool links: it stays valid after r is
+// Released.
+func (r *PipelineResult) CopySegments(dst []Segment) []Segment {
+	if cap(dst) < len(r.Segments) {
+		grown := make([]Segment, len(r.Segments))
+		// Carry the old segments over so their Compressed buffers keep
+		// getting recycled after growth.
+		copy(grown, dst[:cap(dst)])
+		dst = grown
+	}
+	dst = dst[:len(r.Segments)]
+	for i := range r.Segments {
+		buf := dst[i].Compressed[:0]
+		dst[i] = r.Segments[i]
+		dst[i].pooled = nil
+		dst[i].Compressed = append(buf, r.Segments[i].Compressed...)
+	}
+	return dst
+}
+
 // Release recycles the result: the segments' kernel sessions and, for
 // results RunPipeline returned, the result itself go back to their pools
 // for later runs. It is opt-in: a caller that is done with the result may

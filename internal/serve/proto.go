@@ -321,8 +321,8 @@ func resultPayloadLen(res *compress.PipelineResult) int {
 }
 
 // appendResultFixed appends the fixed result block. The wire layout is
-// shared by encodeResultInto and writeResultFrame; change it only in
-// lockstep with decodeResultInto.
+// shared by writeResultFrame and the reference encoder its tests compare it
+// with (encodeResultInto); change it only in lockstep with decodeResultInto.
 func appendResultFixed(dst []byte, res *compress.PipelineResult, m Measure) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(res.InputBytes))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.LatencyPerByte))
@@ -344,34 +344,6 @@ func appendSegmentMeta(dst []byte, s *compress.Segment) []byte {
 	return binary.BigEndian.AppendUint32(dst, uint32(len(s.Compressed)))
 }
 
-// encodeResult packs a pipeline result and its measurement into a
-// FrameResult payload. The segments' bytes are copied, so the caller may
-// Release the pipeline result immediately afterwards.
-func encodeResult(res *compress.PipelineResult, m Measure) []byte {
-	return encodeResultInto(nil, res, m)
-}
-
-// encodeResultInto is encodeResult building into dst's backing array (grown
-// only past its high-water mark), so a caller that recycles dst across
-// batches encodes without allocating. dst's length is ignored; the encoded
-// payload is returned.
-func encodeResultInto(dst []byte, res *compress.PipelineResult, m Measure) []byte {
-	if need := resultPayloadLen(res); cap(dst) < need {
-		dst = make([]byte, 0, need)
-	}
-	dst = dst[:0]
-	dst = appendResultFixed(dst, res, m)
-	for i := range res.Segments {
-		s := &res.Segments[i]
-		dst = appendSegmentMeta(dst, s)
-		// Pre-sized above: extend in place and copy, no growth per batch.
-		n := len(dst)
-		dst = dst[:n+len(s.Compressed)]
-		copy(dst[n:], s.Compressed)
-	}
-	return dst
-}
-
 // resultScratch holds the reusable metadata buffer and vector list for
 // writeResultFrame. Each connection writer owns one, serialized by its
 // write lock.
@@ -384,11 +356,11 @@ type resultScratch struct {
 }
 
 // writeResultFrame writes a FrameResult for res to w, byte-identical on the
-// wire to WriteFrame(w, FrameResult, session, encodeResult(res, m)) but
-// zero-copy: the frame header, fixed block and per-segment metadata are
-// encoded into rs's reused scratch, and the segments' compressed buffers
-// join the vectored write in place — pipeline output reaches the socket
-// without an intermediate payload copy. The caller must keep res alive (not
+// wire to WriteFrame(w, FrameResult, session, encodeResult(res, m)) with the
+// tests' reference encoder, but zero-copy: the frame header, fixed block and
+// per-segment metadata are encoded into rs's reused scratch, and the
+// segments' compressed buffers join the vectored write in place — pipeline
+// output reaches the socket without an intermediate payload copy. The caller must keep res alive (not
 // Released) until writeResultFrame returns, and must serialize calls sharing
 // w or rs.
 func writeResultFrame(w io.Writer, session uint32, res *compress.PipelineResult, m Measure, rs *resultScratch) error {

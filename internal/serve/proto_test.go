@@ -10,6 +10,35 @@ import (
 	"repro/internal/compress"
 )
 
+// encodeResult packs a pipeline result and its measurement into a
+// FrameResult payload: the plain reference encoder that writeResultFrame's
+// vectored write must match byte for byte. The segments' bytes are copied,
+// so the caller may Release the pipeline result immediately afterwards.
+func encodeResult(res *compress.PipelineResult, m Measure) []byte {
+	return encodeResultInto(nil, res, m)
+}
+
+// encodeResultInto is encodeResult building into dst's backing array (grown
+// only past its high-water mark), so a caller that recycles dst across
+// batches encodes without allocating. dst's length is ignored; the encoded
+// payload is returned.
+func encodeResultInto(dst []byte, res *compress.PipelineResult, m Measure) []byte {
+	if need := resultPayloadLen(res); cap(dst) < need {
+		dst = make([]byte, 0, need)
+	}
+	dst = dst[:0]
+	dst = appendResultFixed(dst, res, m)
+	for i := range res.Segments {
+		s := &res.Segments[i]
+		dst = appendSegmentMeta(dst, s)
+		// Pre-sized above: extend in place and copy, no growth per batch.
+		n := len(dst)
+		dst = dst[:n+len(s.Compressed)]
+		copy(dst[n:], s.Compressed)
+	}
+	return dst
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")

@@ -11,7 +11,7 @@ import (
 	"repro/pkg/cstream"
 )
 
-// ExampleWithSegmentSink attaches the durable segment sink to a Runner: every
+// ExampleWithSegmentSink attaches the durable segment sink to a Session: every
 // compressed batch is additionally framed, checksummed, and appended to an
 // append-only segment file, rotated per the policy and sealed atomically at
 // rotation and Close. ListSegments and OpenSegment read the files back.
@@ -22,19 +22,18 @@ func ExampleWithSegmentSink() {
 	}
 	defer os.RemoveAll(dir)
 
-	runner, err := cstream.Open("delta32", "Rovio",
-		cstream.WithSeed(1),
+	session, err := cstream.NewSession("delta32", cstream.DatasetSource("Rovio", 1),
 		cstream.WithBatchBytes(64*1024),
 		cstream.WithSegmentSink(dir, cstream.SegmentRotation{MaxSegmentBatches: 2}))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := runner.RunBatch(context.Background(), i); err != nil {
+		if _, err := session.Push(context.Background(), session.RawBatch(i)); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := runner.Close(); err != nil { // seals the active segment
+	if err := session.Close(); err != nil { // seals the active segment
 		log.Fatal(err)
 	}
 
@@ -65,20 +64,19 @@ func ExampleOpenSegment() {
 	}
 	defer os.RemoveAll(dir)
 
-	runner, err := cstream.Open("delta32", "Rovio",
-		cstream.WithSeed(1),
+	session, err := cstream.NewSession("delta32", cstream.DatasetSource("Rovio", 1),
 		cstream.WithBatchBytes(32*1024),
 		cstream.WithSegmentSink(dir, cstream.SegmentRotation{}))
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := runner.RunBatch(context.Background(), i); err != nil {
+		if _, err := session.Push(context.Background(), session.RawBatch(i)); err != nil {
 			log.Fatal(err)
 		}
 	}
 
-	// Simulate the crash: the runner is never closed, so the active segment
+	// Simulate the crash: the session is never closed, so the active segment
 	// stays partial; tear bytes off its final frame as an interrupted write
 	// would.
 	files, err := cstream.ListSegments(dir)
@@ -109,7 +107,7 @@ func ExampleOpenSegment() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("batch %d round trip: %v\n", b.Batch, bytes.Equal(decoded, runner.RawBatch(b.Batch)))
+		fmt.Printf("batch %d round trip: %v\n", b.Batch, bytes.Equal(decoded, session.RawBatch(b.Batch)))
 	}
 	// Output:
 	// sealed: false batches: 2 torn frames: 1

@@ -9,19 +9,18 @@ import (
 	"repro/pkg/cstream"
 )
 
-// ExampleOpen plans a compression pipeline for one stream, compresses a
+// ExampleSession plans a compression pipeline for one stream, compresses a
 // batch for real, and verifies the round trip — the minimal end-to-end use
 // of the facade.
-func ExampleOpen() {
-	runner, err := cstream.Open("tdic32", "Rovio",
-		cstream.WithSeed(1),
+func ExampleSession() {
+	session, err := cstream.NewSession("tdic32", cstream.DatasetSource("Rovio", 1),
 		cstream.WithBatchBytes(64*1024))
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer runner.Close()
+	defer session.Close()
 
-	res, err := runner.RunBatch(context.Background(), 0)
+	res, err := session.Push(context.Background(), session.RawBatch(0))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,11 +29,11 @@ func ExampleOpen() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("workload %s\n", runner.Workload())
-	fmt.Printf("feasible %v\n", runner.Feasible())
+	fmt.Printf("workload %s\n", session.Workload())
+	fmt.Printf("feasible %v\n", session.Feasible())
 	fmt.Printf("compressed %v, lossless %v\n",
 		res.TotalBits < uint64(res.InputBytes)*8,
-		bytes.Equal(decoded, runner.RawBatch(0)))
+		bytes.Equal(decoded, session.RawBatch(0)))
 	// Output:
 	// workload tdic32-Rovio
 	// feasible true

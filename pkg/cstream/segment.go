@@ -23,7 +23,7 @@ type SegmentRotation struct {
 }
 
 // WithSegmentSink attaches a durable segment store at dir: every batch the
-// Runner compresses (RunBatch or Session.Push) is additionally framed,
+// Session compresses (Push or PushReuse) is additionally framed,
 // checksummed, and appended to an append-only segment file, rotated per the
 // policy and sealed atomically. Opening recovers any partial segments a
 // crashed process left in dir. Read segments back with OpenSegment; see
@@ -43,9 +43,9 @@ func WithSegmentSink(dir string, rotate SegmentRotation) Option {
 	}
 }
 
-// openSegmentStore builds the Runner's segment sink from the applied config;
-// it is called from the single construction path once the algorithm name is
-// resolved. Returns (nil, nil) when no sink was requested.
+// openSegmentStore builds the Session's segment sink from the applied
+// config; NewSession calls it once the algorithm name is resolved. Returns
+// (nil, nil) when no sink was requested.
 func openSegmentStore(alg string, cfg config) (*segstore.Store, error) {
 	if cfg.segmentDir == "" {
 		return nil, nil
@@ -72,16 +72,16 @@ func openSegmentStore(alg string, cfg config) (*segstore.Store, error) {
 // RotateSegment seals the sink's active segment now and starts the next one,
 // regardless of the rotation policy — operators use it to flush a consistent,
 // sealed segment on demand (e.g. before copying files off the device). It is
-// a no-op when the active segment is empty, and fails when the Runner was
+// a no-op when the active segment is empty, and fails when the Session was
 // opened without WithSegmentSink.
-func (r *Runner) RotateSegment() error {
-	if r.closed {
+func (s *Session) RotateSegment() error {
+	if s.closed {
 		return errClosed("cstream: RotateSegment")
 	}
-	if r.store == nil {
+	if s.store == nil {
 		return fmt.Errorf("cstream: RotateSegment requires WithSegmentSink")
 	}
-	return r.store.Rotate()
+	return s.store.Rotate()
 }
 
 // SegmentRecovery reports what opening a segment (or the sink's directory)
@@ -140,7 +140,7 @@ func (s *SegmentReader) Recovery() SegmentRecovery {
 func (s *SegmentReader) Batches() int { return s.seg.Batches() }
 
 // ReadBatch reads the i'th batch (0 <= i < Batches) back as a BatchResult —
-// the same shape RunBatch returned when the batch was written, so
+// the same shape Push returned when the batch was written, so
 // BatchResult.Decode reconstructs the original bytes through the library's
 // one decode path. The segments are copied out of the mapped file; the result
 // stays valid after Close.
@@ -149,22 +149,17 @@ func (s *SegmentReader) ReadBatch(i int) (*BatchResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cstream: %w", err)
 	}
-	out := &BatchResult{
+	for i := range b.Segments {
+		seg := &b.Segments[i]
+		seg.Compressed = append([]byte(nil), seg.Compressed...)
+	}
+	return &BatchResult{
 		Batch:      b.Batch,
 		InputBytes: b.InputBytes,
 		TotalBits:  b.TotalBits,
-		Segments:   make([]Segment, len(b.Segments)),
+		Segments:   b.Segments,
 		alg:        s.seg.Algorithm(),
-	}
-	for i, seg := range b.Segments {
-		out.Segments[i] = Segment{
-			SliceIndex: seg.SliceIndex,
-			Compressed: append([]byte(nil), seg.Compressed...),
-			BitLen:     seg.BitLen,
-			OrigLen:    seg.OrigLen,
-		}
-	}
-	return out, nil
+	}, nil
 }
 
 // Timestamp returns the wall-clock time batch i was persisted at.

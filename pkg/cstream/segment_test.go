@@ -21,8 +21,7 @@ import (
 func TestSegmentSinkRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tel := cstream.NewTelemetry()
-	r, err := cstream.Open("delta32", "Rovio",
-		cstream.WithSeed(3),
+	s, err := cstream.NewSession("delta32", cstream.DatasetSource("Rovio", 3),
 		cstream.WithBatchBytes(3*(64<<10)+8),
 		cstream.WithTelemetry(tel),
 		cstream.WithSegmentSink(dir, cstream.SegmentRotation{}))
@@ -33,11 +32,11 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 	want := make([]*cstream.BatchResult, n)
 	raw := make([][]byte, n)
 	for i := 0; i < n; i++ {
-		want[i], err = r.RunBatch(context.Background(), i)
+		raw[i] = s.RawBatch(i)
+		want[i], err = s.Push(context.Background(), raw[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw[i] = r.RawBatch(i)
 	}
 
 	// Library-path decode is the reference: every stored batch must match it.
@@ -98,7 +97,7 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 	seg.Close()
 
 	// Clean Close seals; the sealed segment holds every batch.
-	if err := r.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	files, err = cstream.ListSegments(dir)
@@ -132,8 +131,8 @@ func TestSegmentSinkRoundTrip(t *testing.T) {
 }
 
 // TestSegmentSinkSessionPush covers the caller-supplied-bytes entry point:
-// Session.Push funnels into the same runBatch path, so pushed batches land in
-// the sink too and decode back to the pushed bytes.
+// pushed batches of the caller's own bytes land in the sink and decode back
+// to the pushed bytes.
 func TestSegmentSinkSessionPush(t *testing.T) {
 	dir := t.TempDir()
 	sess, err := cstream.NewSession("rle32",
@@ -187,29 +186,30 @@ func TestSegmentSinkSessionPush(t *testing.T) {
 // TestSegmentSinkOptionAndRotate covers the facade edges: option validation,
 // directory recovery on reopen, and the operator-facing RotateSegment.
 func TestSegmentSinkOptionAndRotate(t *testing.T) {
-	if _, err := cstream.Open("delta32", "Rovio", cstream.WithSegmentSink("", cstream.SegmentRotation{})); !errors.Is(err, cstream.ErrInvalidOption) {
+	src := cstream.DatasetSource("Rovio", 1)
+	if _, err := cstream.NewSession("delta32", src, cstream.WithSegmentSink("", cstream.SegmentRotation{})); !errors.Is(err, cstream.ErrInvalidOption) {
 		t.Fatalf("empty sink dir: %v, want ErrInvalidOption", err)
 	}
 
-	r, err := cstream.Open("delta32", "Rovio", cstream.WithSeed(1), cstream.WithBatchBytes(8*1024))
+	s, err := cstream.NewSession("delta32", src, cstream.WithBatchBytes(8*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if err := r.RotateSegment(); err == nil {
+	defer s.Close()
+	if err := s.RotateSegment(); err == nil {
 		t.Fatal("RotateSegment without a sink succeeded")
 	}
 
 	dir := t.TempDir()
-	r2, err := cstream.Open("delta32", "Rovio", cstream.WithSeed(1), cstream.WithBatchBytes(8*1024),
+	s2, err := cstream.NewSession("delta32", src, cstream.WithBatchBytes(8*1024),
 		cstream.WithSegmentSink(dir, cstream.SegmentRotation{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r2.RunBatch(context.Background(), 0); err != nil {
+	if _, err := s2.Push(context.Background(), s2.RawBatch(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.RotateSegment(); err != nil {
+	if err := s2.RotateSegment(); err != nil {
 		t.Fatal(err)
 	}
 	// Rotation seals the old segment and immediately opens the next active
@@ -218,7 +218,7 @@ func TestSegmentSinkOptionAndRotate(t *testing.T) {
 	if err != nil || len(files) != 2 || strings.HasSuffix(files[0], ".partial") {
 		t.Fatalf("after RotateSegment: %v, %v", files, err)
 	}
-	if err := r2.Close(); err != nil {
+	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if files, err = cstream.ListSegments(dir); err != nil || len(files) != 1 {
@@ -227,15 +227,15 @@ func TestSegmentSinkOptionAndRotate(t *testing.T) {
 
 	// Reopening the same directory recovers it and keeps appending: the old
 	// sealed segment stays, new batches land in a new one.
-	r3, err := cstream.Open("delta32", "Rovio", cstream.WithSeed(1), cstream.WithBatchBytes(8*1024),
+	s3, err := cstream.NewSession("delta32", src, cstream.WithBatchBytes(8*1024),
 		cstream.WithSegmentSink(dir, cstream.SegmentRotation{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r3.RunBatch(context.Background(), 1); err != nil {
+	if _, err := s3.Push(context.Background(), s3.RawBatch(1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := r3.Close(); err != nil {
+	if err := s3.Close(); err != nil {
 		t.Fatal(err)
 	}
 	files, err = cstream.ListSegments(dir)

@@ -7,67 +7,95 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/amp"
+	"repro/internal/compress"
+	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/pkg/cstream"
 )
 
 // TestSessionMatchesOpenAcrossKernels is the byte-identity contract of the
-// Session redesign: for every kernel, NewSession(alg, DatasetSource(name,
-// seed)) must plan and compress exactly as Open(alg, name, WithSeed(seed)) —
-// same plan vector, and byte-identical frames for the same batch bytes.
+// Session: for every kernel, NewSession(alg, DatasetSource(name, seed)) must
+// open exactly the deployment the library's internals open by hand with the
+// same seed and profile (core.NewPlanner, core.ProfileWorkload,
+// DeployProfile) — same estimate and plan vector — and Push must return
+// frames byte-identical to Deployment.RunBatchData for the same batch bytes.
 func TestSessionMatchesOpenAcrossKernels(t *testing.T) {
 	const (
-		seed       = 42
-		batchBytes = 32 << 10
+		seed           = 42
+		batchBytes     = 32 << 10
+		profileBatches = 2
 	)
-	for _, alg := range []string{"tcomp32", "tdic32", "lz4", "delta32", "rle32", "huff8"} {
-		t.Run(alg, func(t *testing.T) {
-			runner, err := cstream.Open(alg, "Rovio",
-				cstream.WithSeed(seed),
-				cstream.WithBatchBytes(batchBytes),
-				cstream.WithProfileBatches(2))
+	ctx := context.Background()
+	for _, name := range []string{"tcomp32", "tdic32", "lz4", "delta32", "rle32", "huff8"} {
+		t.Run(name, func(t *testing.T) {
+			alg, err := compress.ByName(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer runner.Close()
-			session, err := cstream.NewSession(alg, cstream.DatasetSource("Rovio", seed),
+			gen, err := dataset.ByName("Rovio", seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			machine := amp.NewRK3399()
+			planner, err := core.NewPlanner(machine, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := core.NewWorkload(alg, gen)
+			w.BatchBytes = batchBytes
+			w.LSet = cstream.DefaultLatencyConstraint
+			dep, err := planner.DeployProfile(w, core.ProfileWorkload(w, profileBatches, 0), core.MechCStream)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			session, err := cstream.NewSession(name, cstream.DatasetSource("Rovio", seed),
 				cstream.WithBatchBytes(batchBytes),
-				cstream.WithProfileBatches(2))
+				cstream.WithProfileBatches(profileBatches))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer session.Close()
 
-			pa, pb := runner.PlanVector(), session.PlanVector()
-			if len(pa) != len(pb) {
-				t.Fatalf("plan lengths differ: %d vs %d", len(pa), len(pb))
+			if est := session.Estimate(); est.LatencyPerByte != dep.Estimate.LatencyPerByte || est.EnergyPerByte != dep.Estimate.EnergyPerByte {
+				t.Fatalf("estimates differ: %+v vs %+v", est, dep.Estimate)
 			}
-			for i := range pa {
-				if pa[i] != pb[i] {
-					t.Fatalf("plans diverge at task %d: %d vs %d", i, pa[i], pb[i])
+			plan := session.Plan()
+			if len(plan) != len(dep.Plan) {
+				t.Fatalf("plan lengths differ: %d vs %d", len(plan), len(dep.Plan))
+			}
+			for i, p := range plan {
+				if p.Core != dep.Plan[i] || p.Task != dep.Graph.Tasks[i].Name {
+					t.Fatalf("plans diverge at task %d: %s on core %d vs %s on core %d",
+						i, p.Task, p.Core, dep.Graph.Tasks[i].Name, dep.Plan[i])
 				}
 			}
 
 			for batch := 0; batch < 2; batch++ {
-				want, err := runner.RunBatch(context.Background(), batch)
+				b := w.Dataset.Batch(batch, batchBytes)
+				got, err := session.Push(ctx, session.RawBatch(batch))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := session.Push(context.Background(), runner.RawBatch(batch))
+				want, err := dep.RunBatchData(ctx, alg, b, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.InputBytes != want.InputBytes || got.TotalBits != want.TotalBits {
-					t.Fatalf("batch %d: result headers differ: %+v vs %+v", batch, got, want)
+					t.Fatalf("batch %d: result headers differ: %d/%d vs %d/%d bits/bytes",
+						batch, got.TotalBits, got.InputBytes, want.TotalBits, want.InputBytes)
 				}
 				if len(got.Segments) != len(want.Segments) {
 					t.Fatalf("batch %d: %d vs %d segments", batch, len(got.Segments), len(want.Segments))
 				}
 				for i := range got.Segments {
-					g, w := got.Segments[i], want.Segments[i]
-					if g.BitLen != w.BitLen || g.OrigLen != w.OrigLen || !bytes.Equal(g.Compressed, w.Compressed) {
+					g, r := &got.Segments[i], &want.Segments[i]
+					if g.SliceIndex != r.SliceIndex || g.BitLen != r.BitLen || g.OrigLen != r.OrigLen || !bytes.Equal(g.Compressed, r.Compressed) {
 						t.Fatalf("batch %d segment %d: frames differ", batch, i)
 					}
 				}
+				want.Release()
 			}
 		})
 	}
@@ -140,122 +168,98 @@ func TestSessionPushErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	if _, err := s.Push(context.Background(), nil); err == nil {
 		t.Fatal("empty push accepted")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := s.Push(ctx, []byte{1, 2, 3, 4}); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if _, err := s.PushReuse(context.Background(), []byte{}, &cstream.BatchResult{}); err == nil {
+		t.Fatal("empty PushReuse accepted")
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Push(context.Background(), []byte{1, 2, 3, 4}); !errors.Is(err, cstream.ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	if s.Pushes() != 0 {
+		t.Fatalf("rejected pushes counted: %d", s.Pushes())
 	}
 }
 
 // TestSentinelErrors pins the errors.Is contract of the package's sentinel
 // errors across every constructor path that can produce them.
 func TestSentinelErrors(t *testing.T) {
-	if _, err := cstream.Open("nosuchalg", "Rovio"); !errors.Is(err, cstream.ErrUnknownAlgorithm) {
-		t.Fatalf("Open: err = %v, want ErrUnknownAlgorithm", err)
-	}
 	if _, err := cstream.NewSession("nosuchalg", cstream.DatasetSource("Rovio", 1)); !errors.Is(err, cstream.ErrUnknownAlgorithm) {
 		t.Fatalf("NewSession: err = %v, want ErrUnknownAlgorithm", err)
 	}
-	if _, err := cstream.Open("tcomp32", "Rovio", cstream.WithPolicy("no-such-policy")); !errors.Is(err, cstream.ErrUnknownPolicy) {
-		t.Fatalf("WithPolicy: err = %v, want ErrUnknownPolicy", err)
-	}
 	// An impossibly tight constraint is infeasible on every platform; only
 	// WithRequireFeasible turns that into a failure.
-	if _, err := cstream.Open("tcomp32", "Micro",
-		cstream.WithSeed(1),
-		cstream.WithBatchBytes(32<<10),
+	tight := []cstream.Option{
+		cstream.WithBatchBytes(32 << 10),
 		cstream.WithProfileBatches(2),
 		cstream.WithLatencyConstraint(1e-9),
-		cstream.WithRequireFeasible()); !errors.Is(err, cstream.ErrInfeasible) {
+	}
+	if _, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Micro", 1),
+		append(tight, cstream.WithRequireFeasible())...); !errors.Is(err, cstream.ErrInfeasible) {
 		t.Fatalf("WithRequireFeasible: err = %v, want ErrInfeasible", err)
 	}
-	r, err := cstream.Open("tcomp32", "Micro",
-		cstream.WithSeed(1),
-		cstream.WithBatchBytes(32<<10),
-		cstream.WithProfileBatches(2),
-		cstream.WithLatencyConstraint(1e-9))
+	s, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Micro", 1), tight...)
 	if err != nil {
 		t.Fatalf("best-effort infeasible open failed: %v", err)
 	}
-	if r.Feasible() {
+	if s.Feasible() {
 		t.Fatal("1e-9 µs/B reported feasible")
 	}
-	r.Close()
-	if _, err := r.RunBatch(context.Background(), 0); !errors.Is(err, cstream.ErrClosed) {
-		t.Fatalf("closed runner: err = %v, want ErrClosed", err)
+	s.Close()
+	if _, err := s.Push(context.Background(), s.RawBatch(0)); !errors.Is(err, cstream.ErrClosed) {
+		t.Fatalf("closed session: err = %v, want ErrClosed", err)
 	}
 }
 
-// TestOptionValidation is the validation table of satellite 2: every With*
+// TestOptionValidation is the validation table of the With* options: every
 // option rejects out-of-range arguments at construction time with an error
-// wrapping ErrInvalidOption (or the more specific sentinel), and the message
-// names the offending option.
+// wrapping ErrInvalidOption, and the message names the offending option.
 func TestOptionValidation(t *testing.T) {
 	cases := []struct {
-		name     string
-		opt      cstream.Option
-		sentinel error
-		mention  string
+		name    string
+		opt     cstream.Option
+		mention string
 	}{
-		{"negative latency constraint", cstream.WithLatencyConstraint(-1), cstream.ErrInvalidOption, "WithLatencyConstraint"},
-		{"zero latency constraint", cstream.WithLatencyConstraint(0), cstream.ErrInvalidOption, "WithLatencyConstraint"},
-		{"unknown platform", cstream.WithPlatform("cray"), cstream.ErrInvalidOption, "WithPlatform"},
-		{"negative batch bytes", cstream.WithBatchBytes(-4096), cstream.ErrInvalidOption, "WithBatchBytes"},
-		{"zero batch bytes", cstream.WithBatchBytes(0), cstream.ErrInvalidOption, "WithBatchBytes"},
-		{"zero profile batches", cstream.WithProfileBatches(0), cstream.ErrInvalidOption, "WithProfileBatches"},
-		{"unknown adaptation mode", cstream.WithAdaptation(cstream.AdaptationMode(99)), cstream.ErrInvalidOption, "WithAdaptation"},
-		{"zero plan cache", cstream.WithPlanCache(0), cstream.ErrInvalidOption, "WithPlanCache"},
-		{"negative plan cache", cstream.WithPlanCache(-1), cstream.ErrInvalidOption, "WithPlanCache"},
-		{"unknown policy", cstream.WithPolicy("no-such-policy"), cstream.ErrUnknownPolicy, "no-such-policy"},
+		{"negative latency constraint", cstream.WithLatencyConstraint(-1), "WithLatencyConstraint"},
+		{"zero latency constraint", cstream.WithLatencyConstraint(0), "WithLatencyConstraint"},
+		{"unknown platform", cstream.WithPlatform("cray"), "WithPlatform"},
+		{"negative batch bytes", cstream.WithBatchBytes(-4096), "WithBatchBytes"},
+		{"zero batch bytes", cstream.WithBatchBytes(0), "WithBatchBytes"},
+		{"zero profile batches", cstream.WithProfileBatches(0), "WithProfileBatches"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := cstream.Open("tcomp32", "Micro", tc.opt)
-			if !errors.Is(err, tc.sentinel) {
-				t.Fatalf("Open: err = %v, want %v", err, tc.sentinel)
+			_, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Micro", 1), tc.opt)
+			if !errors.Is(err, cstream.ErrInvalidOption) {
+				t.Fatalf("err = %v, want ErrInvalidOption", err)
 			}
 			if !strings.Contains(err.Error(), tc.mention) {
 				t.Fatalf("error %q does not name %q", err, tc.mention)
-			}
-			// The same validation guards NewSession.
-			if _, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Micro", 1), tc.opt); !errors.Is(err, tc.sentinel) {
-				t.Fatalf("NewSession: err = %v, want %v", err, tc.sentinel)
 			}
 		})
 	}
 
 	// Multiple bad options surface together via errors.Join.
-	_, err := cstream.Open("tcomp32", "Micro",
+	_, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Micro", 1),
 		cstream.WithBatchBytes(-1),
-		cstream.WithPlanCache(0))
+		cstream.WithProfileBatches(0))
 	if !errors.Is(err, cstream.ErrInvalidOption) {
 		t.Fatalf("err = %v, want ErrInvalidOption", err)
 	}
-	for _, mention := range []string{"WithBatchBytes", "WithPlanCache"} {
+	for _, mention := range []string{"WithBatchBytes", "WithProfileBatches"} {
 		if !strings.Contains(err.Error(), mention) {
 			t.Fatalf("joined error %q drops %q", err, mention)
 		}
 	}
 
 	// Valid options still open.
-	r, err := cstream.Open("tcomp32", "Micro",
+	s, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Micro", 1),
 		cstream.WithSeed(1),
 		cstream.WithBatchBytes(16<<10),
 		cstream.WithProfileBatches(1),
 		cstream.WithLatencyConstraint(50),
-		cstream.WithPlanCache(4),
 		cstream.WithPlatform("rk3399"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Close()
+	s.Close()
 }

@@ -11,9 +11,8 @@ import (
 // the planner profiles at NewSession time, plus the name the workload is
 // labeled with. Three implementations cover the supported ingest paths:
 //
-//   - DatasetSource wraps the built-in synthetic generators (the dataset
-//     names Open accepts), so a Session plans and compresses exactly as a
-//     dataset-bound Runner does;
+//   - DatasetSource wraps the built-in synthetic generators (Sensor, Rovio,
+//     Stock, Micro), the workloads of the paper's evaluation;
 //   - BytesSource wraps an in-memory sample of caller-supplied data, the
 //     path a network front-end uses when the real stream arrives over a
 //     socket;
@@ -35,14 +34,14 @@ type Source interface {
 
 	// preferredSeed reports a seed the source carries (DatasetSource), so
 	// NewSession can default the whole session to it when WithSeed is not
-	// given — which makes NewSession(alg, DatasetSource(name, seed))
-	// byte-identical to Open(alg, name, WithSeed(seed)).
+	// given: one seed then drives both the data and the planner.
 	preferredSeed() (int64, bool)
 }
 
 // DatasetSource names one of the built-in synthetic datasets (Sensor, Rovio,
-// Stock, Micro) as a Session's source, seeded like WithSeed seeds Open. An
-// unknown name surfaces as an error from NewSession, not here.
+// Stock, Micro) as a Session's source, generated from seed, which also
+// becomes the session seed unless WithSeed overrides it. An unknown name
+// surfaces as an error from NewSession, not here.
 func DatasetSource(name string, seed int64) Source {
 	return &datasetSource{name: name, seed: seed}
 }

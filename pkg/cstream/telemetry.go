@@ -8,12 +8,12 @@ import (
 )
 
 // Telemetry is an opt-in observability handle: attach one with WithTelemetry
-// and every Runner (or multi-stream run) opened with it records metrics,
+// and every Session opened with it records metrics,
 // scheduling decisions, and pipeline execution spans into it. The zero-cost
 // default is no telemetry at all — without WithTelemetry, instrumented code
 // paths reduce to a nil check.
 //
-// One Telemetry may be shared by several Runners; its methods are safe for
+// One Telemetry may be shared by several Sessions; its methods are safe for
 // concurrent use with ongoing recording. See OBSERVABILITY.md at the
 // repository root for the metric catalog, the decision-log schema, and how to
 // read the exported traces.
@@ -58,8 +58,8 @@ func (t *Telemetry) Serve(ctx context.Context, addr string) (string, error) {
 	return t.sink.Serve(ctx, addr)
 }
 
-// WithTelemetry attaches the telemetry handle to the Runner or multi-stream
-// run being opened. A nil handle keeps telemetry disabled.
+// WithTelemetry attaches the telemetry handle to the Session being opened. A
+// nil handle keeps telemetry disabled.
 func WithTelemetry(t *Telemetry) Option {
 	return func(c *config) { c.telemetry = t }
 }

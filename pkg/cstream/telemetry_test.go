@@ -16,26 +16,25 @@ import (
 	"repro/pkg/cstream"
 )
 
-func openTelemetryRunner(t *testing.T) (*cstream.Runner, *cstream.Telemetry) {
+func openTelemetrySession(t *testing.T) (*cstream.Session, *cstream.Telemetry) {
 	t.Helper()
 	tel := cstream.NewTelemetry()
-	r, err := cstream.Open("tcomp32", "Rovio",
-		cstream.WithSeed(7),
+	s, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Rovio", 7),
 		cstream.WithBatchBytes(64*1024),
 		cstream.WithTelemetry(tel))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { r.Close() })
-	return r, tel
+	t.Cleanup(func() { s.Close() })
+	return s, tel
 }
 
 func TestTelemetryRecordsRunAndMeasure(t *testing.T) {
-	r, tel := openTelemetryRunner(t)
-	if _, err := r.RunBatch(context.Background(), 0); err != nil {
+	s, tel := openTelemetrySession(t)
+	if _, err := s.Push(context.Background(), s.RawBatch(0)); err != nil {
 		t.Fatal(err)
 	}
-	r.MeasureRepeated(5)
+	s.MeasureRepeated(5)
 
 	raw, err := tel.MetricsJSON()
 	if err != nil {
@@ -102,7 +101,7 @@ func TestTelemetryRecordsRunAndMeasure(t *testing.T) {
 		t.Fatalf("decision kinds = %v (count=%d)", kinds, tel.DecisionCount())
 	}
 
-	// Chrome trace: valid JSON with span events from the real batch run.
+	// Chrome trace: valid JSON with span events from the real batch push.
 	trace, err := tel.ChromeTraceJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +126,8 @@ func TestTelemetryRecordsRunAndMeasure(t *testing.T) {
 }
 
 func TestTelemetryHTTPSurface(t *testing.T) {
-	r, tel := openTelemetryRunner(t)
-	if _, err := r.RunBatch(context.Background(), 0); err != nil {
+	s, tel := openTelemetrySession(t)
+	if _, err := s.Push(context.Background(), s.RawBatch(0)); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -176,13 +175,13 @@ func TestTelemetryHTTPSurface(t *testing.T) {
 
 // Without WithTelemetry, nothing must be recorded anywhere.
 func TestTelemetryOffByDefault(t *testing.T) {
-	r, err := cstream.Open("tcomp32", "Rovio", cstream.WithSeed(7), cstream.WithBatchBytes(64*1024))
+	s, err := cstream.NewSession("tcomp32", cstream.DatasetSource("Rovio", 7), cstream.WithBatchBytes(64*1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	if _, err := r.RunBatch(context.Background(), 0); err != nil {
+	defer s.Close()
+	if _, err := s.Push(context.Background(), s.RawBatch(0)); err != nil {
 		t.Fatal(err)
 	}
-	r.MeasureRepeated(3) // must not panic without a sink
+	s.MeasureRepeated(3) // must not panic without a sink
 }

@@ -414,8 +414,8 @@ func BenchmarkAttach(b *testing.B) {
 
 // BenchmarkCostModelFit measures the instantiation step: profiling both core
 // types and fitting the four η/ζ rooflines. Every planner pays it once, so
-// serve.New pays it per shard and each cstream.NewSession once; the
-// benchdiff gate pins its allocation count.
+// serve.New and each cstream.NewSession pay it once; the benchdiff gate pins
+// its allocation count.
 func BenchmarkCostModelFit(b *testing.B) {
 	m := amp.NewRK3399()
 	b.ReportAllocs()

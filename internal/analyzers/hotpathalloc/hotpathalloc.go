@@ -12,9 +12,9 @@
 //   - starts with Compress or compress (but not Decompress/decompress:
 //     decode paths return fresh buffers by contract), or
 //   - is part of the serve frame path — ReadFrame/ReadFrameInto, WriteFrame,
-//     writeResultFrame, encodeResult/encodeResultInto, decodeResultInto and
-//     the appendResult*/appendSegment* helpers — which carries the same
-//     zero-allocation contract per served frame (PR 10).
+//     writeResultFrame, decodeResultInto and the appendResult*/appendSegment*
+//     helpers — which carries the same zero-allocation contract per served
+//     frame (PR 10).
 //
 // Inside a hot path the analyzer flags
 //
@@ -74,7 +74,6 @@ var framePathPrefixes = []string{
 	"ReadFrame",
 	"WriteFrame",
 	"writeResultFrame",
-	"encodeResult",
 	"decodeResultInto",
 	"appendResult",
 	"appendSegment",

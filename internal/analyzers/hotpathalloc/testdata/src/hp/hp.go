@@ -89,11 +89,11 @@ func WriteFrameVec(payload []byte) [][]byte {
 	return append(vecs, payload)
 }
 
-// Hot: encodeResult prefix; per-segment growth must be pre-sized.
-func encodeResultLoop(segs [][]byte) []byte {
+// Hot: appendSegment prefix; per-segment growth must be pre-sized.
+func appendSegmentLoop(segs [][]byte) []byte {
 	var dst []byte
 	for _, s := range segs {
-		dst = append(dst, s...) // want `append growth in loop in hot path encodeResultLoop`
+		dst = append(dst, s...) // want `append growth in loop in hot path appendSegmentLoop`
 	}
 	return dst
 }

@@ -31,9 +31,9 @@ func newTestModel(t *testing.T) (*amp.Machine, *Model) {
 	return m, mod
 }
 
-// TestNewModelAllocs pins the instantiation step's allocation count: each
-// roofline fit allocates a few tables up front and nothing per breakpoint
-// triple.
+// TestNewModelAllocs pins the instantiation step's allocation count: the
+// four roofline fits share one Fitter's tables and allocate nothing per
+// breakpoint or run.
 func TestNewModelAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under the race detector")
@@ -44,8 +44,8 @@ func TestNewModelAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 150 {
-		t.Fatalf("NewModel allocated %.0f times, want ≤ 150", allocs)
+	if allocs > 72 {
+		t.Fatalf("NewModel allocated %.0f times, want ≤ 72", allocs)
 	}
 }
 

@@ -42,6 +42,7 @@ func NewModel(m *amp.Machine, seed int64) (*Model, error) {
 		kappaScale: 1,
 	}
 	grid := roofline.DefaultGrid()
+	var fitter roofline.Fitter
 	for _, ct := range []amp.CoreType{amp.Little, amp.Big} {
 		coreID := m.LittleCores()[0]
 		if ct == amp.Big {
@@ -56,7 +57,7 @@ func NewModel(m *amp.Machine, seed int64) (*Model, error) {
 			},
 			Repeats: 5,
 		}
-		fit, err := roofline.Fit(etaProf.Run(grid))
+		fit, err := fitter.Fit(etaProf.Run(grid))
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +70,7 @@ func NewModel(m *amp.Machine, seed int64) (*Model, error) {
 			},
 			Repeats: 5,
 		}
-		fit, err = roofline.Fit(zetaProf.Run(grid))
+		fit, err = fitter.Fit(zetaProf.Run(grid))
 		if err != nil {
 			return nil, err
 		}

@@ -8,11 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/amp"
+	"repro/internal/fmath"
 )
 
-// fitReference is Fit as it was before runs were fitted once: every
-// breakpoint triple re-partitions the samples and re-fits its regions. Fit
-// must return the same *Model value and the same error on every input.
+// fitReference is the exhaustive search Fit's dynamic program replaces: every
+// breakpoint triple re-partitions the samples and re-fits its regions, and
+// the first triple with the least SSE wins. Fit must return the same *Model
+// value and the same error on every input.
 func fitReference(samples []Sample) (*Model, error) {
 	if len(samples) < 8 {
 		return nil, ErrTooFewSamples
@@ -100,6 +102,31 @@ func fitBreaksReference(pts []Sample, b1, b2, b3 float64) (*Model, float64, bool
 	return m, sse, true
 }
 
+// linFit returns least-squares slope, intercept and SSE for one region.
+func linFit(pts []Sample) (a, b, sse float64) {
+	n := float64(len(pts))
+	var sx, sy, sxx, sxy float64
+	for _, p := range pts {
+		sx += p.Kappa
+		sy += p.Y
+		sxx += p.Kappa * p.Kappa
+		sxy += p.Kappa * p.Y
+	}
+	den := n*sxx - sx*sx
+	if fmath.IsZero(den) {
+		a = 0
+		b = sy / n
+	} else {
+		a = (n*sxy - sx*sy) / den
+		b = (sy - a*sx) / n
+	}
+	for _, p := range pts {
+		d := p.Y - (a*p.Kappa + b)
+		sse += d * d
+	}
+	return a, b, sse
+}
+
 // checkMatchesReference fails unless Fit and fitReference agree exactly.
 func checkMatchesReference(t *testing.T, samples []Sample) {
 	t.Helper()
@@ -185,6 +212,40 @@ func TestFitMatchesReferenceOnEdgeCases(t *testing.T) {
 		if _, err := Fit(cases[name]); !errors.Is(err, errNoFeasibleBreaks) {
 			t.Errorf("%s: err = %v, want no feasible breakpoints", name, err)
 		}
+	}
+}
+
+// TestFitMatchesReferenceOnTies sweeps seeded sample sets with small-integer
+// y and κ from a narrow range, where different breakpoint triples often
+// reach exactly the same SSE, so the search must also reproduce the
+// reference's choice among them. Half the sets are an exact ramp that levels
+// off, so many triples fit their sloped regions with zero SSE and only the
+// roof residuals tell them apart. Non-finite and overflowing y cover the
+// triples whose SSE is NaN or +Inf.
+func TestFitMatchesReferenceOnTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for set := 0; set < 300; set++ {
+		knee, slope := float64(2+rng.Intn(6)), float64(1+rng.Intn(2))
+		samples := make([]Sample, 8+rng.Intn(24))
+		for i := range samples {
+			k := float64(1 + rng.Intn(10))
+			y := float64(rng.Intn(4))
+			if set%2 == 1 {
+				y = slope * math.Min(k, knee)
+			}
+			samples[i] = Sample{Kappa: k, Y: y}
+		}
+		checkMatchesReference(t, samples)
+	}
+	for name, y := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1), "overflow": 1e155} {
+		t.Run(name, func(t *testing.T) {
+			var samples []Sample
+			for k := 1.0; k <= 16; k++ {
+				samples = append(samples, Sample{Kappa: k, Y: float64(int(k) % 3)})
+			}
+			samples[5].Y = y
+			checkMatchesReference(t, samples)
+		})
 	}
 }
 

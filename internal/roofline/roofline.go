@@ -1,8 +1,10 @@
 // Package roofline implements the four-segment piecewise-linear roofline
 // model of Eq. 5 and its fitting from profiled (κ, η) or (κ, ζ) samples.
-// Fit searches every breakpoint triple, but each region it can pick is a
-// contiguous run of the κ-sorted samples, so every run is fitted once and
-// the search only looks fits up.
+// Each region Fit can pick is a contiguous run of the κ-sorted samples, so
+// it chooses the three breakpoints by Bellman's dynamic program over runs
+// (R. Bellman, "On the approximation of curves by line segments using
+// dynamic programming", CACM 4(6), 1961) and returns exactly the model a
+// search of every breakpoint triple would.
 //
 // This is the *cost model's approximation* of the hardware: the simulator in
 // internal/amp holds the ground-truth curves; this package fits the
@@ -70,48 +72,91 @@ var ErrTooFewSamples = errors.New("roofline: need at least 8 samples to fit four
 // enough samples.
 var errNoFeasibleBreaks = errors.New("roofline: no feasible breakpoint assignment")
 
-// line is one region's least-squares fit: slope, intercept and SSE.
+// Fit fits the four-region model to profiled samples by choosing the three
+// breakpoints among the sample κ values and least-squares fitting each
+// region (Magnani & Boyd-style segmented regression, simplified). It is
+// new(Fitter).Fit(samples); callers fitting several models in a row keep one
+// Fitter instead.
+func Fit(samples []Sample) (*Model, error) {
+	return new(Fitter).Fit(samples)
+}
+
+// line is one region's least-squares fit: slope, intercept and SSE, where a
+// negative sse means not yet computed.
 type line struct{ a, b, sse float64 }
 
-// Fit fits the four-region model to profiled samples by grid-searching the
-// three breakpoints over sample positions and least-squares fitting each
-// region (Magnani & Boyd-style segmented regression, simplified).
+// Fitter holds the tables of one fit, so that successive fits reuse them.
+// The zero value is ready to use; a Fitter must not be used concurrently.
+type Fitter struct {
+	pts   []Sample
+	cands []float64
+	// end[c] is the number of samples with κ ≤ cands[c-1], and end[0] = 0,
+	// so the region between breakpoints c < d is the run pts[end[c]:end[d]]
+	// and the roof above breakpoint c is pts[end[c]:].
+	end []int
+	nb  int
+	// fits[c*nb+d] fits the run pts[end[c]:end[d]]; roof[k] is the mean of
+	// pts[end[k]:].
+	fits []line
+	roof []float64
+	// a, b and tail are the dynamic program's tables, described in Fit.
+	a, b, tail []float64
+}
+
+// Fit fits the four-region model to samples.
 //
 // The samples are sorted by κ and every breakpoint is a sample κ, so each
-// region is a contiguous run of the sorted samples. Every run a sloped region
-// can take is fitted once, and the roof mean once per start, before the
-// search; each breakpoint triple then only looks its three runs up and sums
-// the roof residuals. A region needs at least two samples (the roof one), and
-// the first triple with the least SSE wins.
-func Fit(samples []Sample) (*Model, error) {
+// region is a contiguous run of the sorted samples. Each sloped region needs
+// at least two samples and the roof at least one. With f(c,d) the SSE of
+// the run between breakpoints c and d, the SSE of a triple (i, j, k) is
+// f(0,i) + f(i,j) + f(j,k) followed by the roof residuals one at a time, and
+// the first triple in lexicographic order with the least finite SSE wins.
+//
+// The least SSE comes from Bellman's dynamic program over runs:
+// a[j] = min_i f(0,i) + f(i,j), b[k] = min_j a[j] + f(j,k), and the least
+// SSE V is the minimum over k of b[k] plus the roof residuals of k. Each
+// minimum ranges over the same float64 sums, associated the same way, as a
+// search of every triple forms, and round-to-nearest addition never
+// decreases when an operand grows, so V is exactly the least SSE of any
+// triple. A NaN never enters a minimum, and a triple with a NaN term has a
+// NaN SSE, so it could not win either. One ordered scan then finds the
+// first triple whose SSE equals V, skipping every pair and triple whose
+// partial sum already exceeds V.
+//
+// Runs sharing a start are fitted with running sums, and a run's SSE is
+// computed only when the program first needs it.
+func (f *Fitter) Fit(samples []Sample) (*Model, error) {
 	if len(samples) < 8 {
 		return nil, ErrTooFewSamples
 	}
-	pts := make([]Sample, len(samples))
-	copy(pts, samples)
+	pts := append(f.pts[:0], samples...)
+	f.pts = pts
 	sort.Slice(pts, func(i, j int) bool { return pts[i].Kappa < pts[j].Kappa })
 
 	// Candidate breakpoints: distinct sample κ values (capped for cost).
-	var cands []float64
+	cands := f.cands[:0]
 	for _, p := range pts {
 		if len(cands) == 0 || p.Kappa > cands[len(cands)-1] {
 			cands = append(cands, p.Kappa)
 		}
 	}
 	if len(cands) > 48 {
+		// Thin in place: the kept index never trails the write index.
 		step := float64(len(cands)) / 48
-		var thin []float64
+		w := 0
 		for i := 0.0; int(i) < len(cands); i += step {
-			thin = append(thin, cands[int(i)])
+			cands[w] = cands[int(i)]
+			w++
 		}
-		cands = thin
+		cands = cands[:w]
 	}
+	f.cands = cands
 
-	// end[c] is the number of samples with κ ≤ cands[c-1], and end[0] = 0, so
-	// the region between breakpoints c < d is the run pts[end[c]:end[d]] and
-	// the roof above breakpoint c is pts[end[c]:].
 	nb := len(cands) + 1
-	end := make([]int, nb)
+	f.nb = nb
+	end := grow(f.end, nb)
+	f.end = end
+	end[0] = 0
 	for c, k := range cands {
 		e := end[c]
 		for e < len(pts) && pts[e].Kappa <= k {
@@ -119,89 +164,188 @@ func Fit(samples []Sample) (*Model, error) {
 		}
 		end[c+1] = e
 	}
-	// fits[c*nb+d] fits the run pts[end[c]:end[d]]; roof[c] is the mean of
-	// pts[end[c]:].
-	fits := make([]line, nb*nb)
-	roof := make([]float64, nb)
-	for c := 0; c < nb; c++ {
-		for d := c + 1; d < nb; d++ {
-			if end[d]-end[c] >= 2 {
-				a, b, e := linFit(pts[end[c]:end[d]])
-				fits[c*nb+d] = line{a, b, e}
-			}
-		}
-		if rest := pts[end[c]:]; len(rest) > 0 {
-			var sum float64
-			for _, p := range rest {
-				sum += p.Y
-			}
-			roof[c] = sum / float64(len(rest))
-		}
-	}
+	f.fits = grow(f.fits, nb*nb)
+	f.fitRuns()
+	inf := math.Inf(1)
+	a, b := fill(&f.a, nb, inf), fill(&f.b, nb, inf)
+	roof := grow(f.roof, nb)
+	f.roof = roof
 
-	best := math.Inf(1)
-	var bi, bj, bk int
+	// a[j]: regions 0 and 1 end at breakpoint j. f(i,j) cannot lower a[j]
+	// while f(0,i) alone is already at a[j].
 	for i := 1; i < nb; i++ {
+		if end[i] < 2 {
+			continue
+		}
+		f0 := f.sse(0, i)
 		for j := i + 1; j < nb; j++ {
-			for k := j + 1; k < nb; k++ {
-				if end[i] < 2 || end[j]-end[i] < 2 || end[k]-end[j] < 2 || end[k] == len(pts) {
-					continue
-				}
-				sse := 0.0
-				sse += fits[i].sse
-				sse += fits[i*nb+j].sse
-				sse += fits[j*nb+k].sse
-				for _, p := range pts[end[k]:] {
-					// Adding d*d ≥ 0 never lowers the rounded sum, so a
-					// partial sum already at best cannot win.
-					if sse >= best {
-						break
-					}
-					d := p.Y - roof[k]
-					sse += d * d
-				}
-				if sse < best {
-					best = sse
-					bi, bj, bk = i, j, k
-				}
+			if end[j]-end[i] < 2 || f0 >= a[j] {
+				continue
+			}
+			if s := f0 + f.sse(i, j); s < a[j] {
+				a[j] = s
 			}
 		}
 	}
-	if bi == 0 {
+	// b[k]: region 2 ends at breakpoint k and the roof holds the rest.
+	for j := 2; j < nb; j++ {
+		for k := j + 1; k < nb; k++ {
+			if end[k]-end[j] < 2 || end[k] == len(pts) || a[j] >= b[k] {
+				continue
+			}
+			if s := a[j] + f.sse(j, k); s < b[k] {
+				b[k] = s
+			}
+		}
+	}
+	// best is V. b[k] becomes its total with the roof residuals, unless it is
+	// already above V or its partial sum climbs above V, so b[k] equals V
+	// exactly when k can end a winner.
+	best := inf
+	for k := 3; k < nb; k++ {
+		if b[k] > best || math.IsInf(b[k], 1) {
+			continue
+		}
+		rest := pts[end[k]:]
+		var sum float64
+		for _, p := range rest {
+			sum += p.Y
+		}
+		roof[k] = sum / float64(len(rest))
+		s := b[k]
+		for _, p := range rest {
+			if s > best {
+				break
+			}
+			d := p.Y - roof[k]
+			s += d * d
+		}
+		b[k] = s
+		if s < best {
+			best = s
+		}
+	}
+	if math.IsInf(best, 1) {
 		return nil, errNoFeasibleBreaks
 	}
-	r0, r1, r2 := fits[bi], fits[bi*nb+bj], fits[bj*nb+bk]
-	return &Model{
-		KappaL1: cands[bi-1], KappaL2: cands[bj-1], KappaRoof: cands[bk-1],
-		A:    [3]float64{r0.a, r1.a, r2.a},
-		B:    [3]float64{r0.b, r1.b, r2.b},
-		YMax: roof[bk],
-	}, nil
+
+	// tail[j] is the least f(j,k) over the k that can end a winner, so a
+	// pair whose sum plus tail[j] exceeds V has no winning k.
+	tail := fill(&f.tail, nb, inf)
+	for j := 2; j < nb; j++ {
+		for k := j + 1; k < nb; k++ {
+			if !fmath.ExactEq(b[k], best) || end[k]-end[j] < 2 {
+				continue
+			}
+			if e := f.sse(j, k); e < tail[j] {
+				tail[j] = e
+			}
+		}
+	}
+	for i := 1; i < nb; i++ {
+		if end[i] < 2 {
+			continue
+		}
+		f0 := f.sse(0, i)
+		for j := i + 1; j < nb; j++ {
+			if end[j]-end[i] < 2 || f0+tail[j] > best {
+				continue
+			}
+			p := f0 + f.sse(i, j)
+			if p+tail[j] > best {
+				continue
+			}
+			for k := j + 1; k < nb; k++ {
+				if !fmath.ExactEq(b[k], best) || end[k]-end[j] < 2 {
+					continue
+				}
+				// Drop the triple once its sum exceeds V: adding d*d ≥ 0
+				// never lowers the rounded sum.
+				s := p + f.sse(j, k)
+				for _, q := range pts[end[k]:] {
+					if s > best {
+						break
+					}
+					d := q.Y - roof[k]
+					s += d * d
+				}
+				if fmath.ExactEq(s, best) {
+					r0, r1, r2 := f.fits[i], f.fits[i*nb+j], f.fits[j*nb+k]
+					return &Model{
+						KappaL1: cands[i-1], KappaL2: cands[j-1], KappaRoof: cands[k-1],
+						A:    [3]float64{r0.a, r1.a, r2.a},
+						B:    [3]float64{r0.b, r1.b, r2.b},
+						YMax: roof[k],
+					}, nil
+				}
+			}
+		}
+	}
+	panic("roofline: no breakpoint triple attains the least SSE")
 }
 
-// linFit returns least-squares slope, intercept and SSE for one region.
-func linFit(pts []Sample) (a, b, sse float64) {
-	n := float64(len(pts))
-	var sx, sy, sxx, sxy float64
-	for _, p := range pts {
-		sx += p.Kappa
-		sy += p.Y
-		sxx += p.Kappa * p.Kappa
-		sxy += p.Kappa * p.Y
+// fitRuns fits slope and intercept of every run of at least two samples,
+// with running sums over the runs that share a start, added in the order a
+// fit of the run alone adds them, and marks every SSE not yet computed.
+func (f *Fitter) fitRuns() {
+	pts, end, nb := f.pts, f.end, f.nb
+	for c := 0; c < nb; c++ {
+		var sx, sy, sxx, sxy float64
+		for d := c + 1; d < nb; d++ {
+			for _, p := range pts[end[d-1]:end[d]] {
+				sx += p.Kappa
+				sy += p.Y
+				sxx += p.Kappa * p.Kappa
+				sxy += p.Kappa * p.Y
+			}
+			n := end[d] - end[c]
+			if n < 2 {
+				continue
+			}
+			l := line{sse: -1}
+			nf := float64(n)
+			if den := nf*sxx - sx*sx; fmath.IsZero(den) {
+				l.b = sy / nf
+			} else {
+				l.a = (nf*sxy - sx*sy) / den
+				l.b = (sy - l.a*sx) / nf
+			}
+			f.fits[c*nb+d] = l
+		}
 	}
-	den := n*sxx - sx*sx
-	if fmath.IsZero(den) {
-		a = 0
-		b = sy / n
-	} else {
-		a = (n*sxy - sx*sy) / den
-		b = (sy - a*sx) / n
+}
+
+// sse returns f(c,d), the SSE of the run between breakpoints c and d,
+// computing it on first use.
+func (f *Fitter) sse(c, d int) float64 {
+	l := &f.fits[c*f.nb+d]
+	if l.sse < 0 {
+		var sse float64
+		for _, p := range f.pts[f.end[c]:f.end[d]] {
+			r := p.Y - (l.a*p.Kappa + l.b)
+			sse += r * r
+		}
+		l.sse = sse
 	}
-	for _, p := range pts {
-		d := p.Y - (a*p.Kappa + b)
-		sse += d * d
+	return l.sse
+}
+
+// grow returns s resized to n elements, reallocating only when its capacity
+// is short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return a, b, sse
+	return s[:n]
+}
+
+// fill resizes *s to n elements, all v, and returns it.
+func fill(s *[]float64, n int, v float64) []float64 {
+	*s = grow(*s, n)
+	for i := range *s {
+		(*s)[i] = v
+	}
+	return *s
 }
 
 // DefaultGrid is the κ sweep used for profiling, spanning the paper's Fig. 3

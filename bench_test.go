@@ -486,22 +486,6 @@ func BenchmarkExtPlatformsJetson(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchIncremental measures the bounded replanning path used by
-// the adaptation loop.
-func BenchmarkSearchIncremental(b *testing.B) {
-	r := runner(b)
-	g := ablationGraph()
-	base := sched.Search(r.Planner().Model, g, 26)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := sched.SearchIncremental(r.Planner().Model, g, 26, base.Plan, 2)
-		if len(res.Plan) != len(g.Tasks) {
-			b.Fatal("replan failed")
-		}
-	}
-}
-
 // --- plan search and plan cache (public-API-era additions) ---
 
 // BenchmarkSerialPlanSearch times the planner's full search, sched.Search

@@ -87,15 +87,6 @@ func EtaCurve(t CoreType) Curve {
 	return etaLittle
 }
 
-// ZetaCurve returns the ground-truth ζ(κ) curve for a core type at nominal
-// frequency.
-func ZetaCurve(t CoreType) Curve {
-	if t == Big {
-		return zetaBig
-	}
-	return zetaLittle
-}
-
 // freqEtaScale is the η multiplier at frequency f: compute scales with the
 // clock, but the memory-bound share of the work does not, so η does not fall
 // linearly with f.

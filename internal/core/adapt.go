@@ -43,48 +43,39 @@ type BatchReport struct {
 	Replanned bool
 }
 
-// Adaptive is CStream's feedback-regulated runtime: it executes batches,
-// compares measured latency against the model's prediction, and when they
-// diverge runs incremental-PID calibration of the model's computation-cost
-// parameter followed by rescheduling.
-type Adaptive struct {
+// adaptLoop is what both adaptation controllers share: the planner, the
+// workload, the CStream policy, the adopted deployment and the executor that
+// measures it on the platform.
+type adaptLoop struct {
 	pl  *Planner
 	w   Workload
 	pol policy.Policy
-	// Regulate enables the feedback loop; with it off, the initial plan is
-	// kept forever (the Fig. 9 "w/o regulation" line).
-	Regulate bool
-
-	dep         *Deployment
-	ex          *costmodel.Executor
-	calibrator  *pid.Calibrator
-	calibrating bool
+	dep *Deployment
+	ex  *costmodel.Executor
 }
 
-// NewAdaptive plans the workload with CStream and prepares the regulation
-// loop.
-func NewAdaptive(pl *Planner, w Workload, regulate bool) (*Adaptive, error) {
+// newAdaptLoop plans the workload with CStream; seedLabel names the
+// executor's measurement stream.
+func newAdaptLoop(pl *Planner, w Workload, seedLabel string) (adaptLoop, error) {
 	pol, err := lookupPolicy(MechCStream)
 	if err != nil {
-		return nil, err
+		return adaptLoop{}, err
 	}
 	dep, err := pl.Deploy(w, MechCStream)
 	if err != nil {
-		return nil, err
+		return adaptLoop{}, err
 	}
-	return &Adaptive{
-		pl:         pl,
-		w:          w,
-		pol:        pol,
-		Regulate:   regulate,
-		dep:        dep,
-		ex:         &costmodel.Executor{M: pl.Machine, Sampler: amp.NewSampler(pl.deploySeed(w.Name(), "adaptive"))},
-		calibrator: pid.NewCalibrator(AdaptP, AdaptI, AdaptD, 1.0, AdaptTolerance),
+	return adaptLoop{
+		pl:  pl,
+		w:   w,
+		pol: pol,
+		dep: dep,
+		ex:  &costmodel.Executor{M: pl.Machine, Sampler: amp.NewSampler(pl.deploySeed(w.Name(), seedLabel))},
 	}, nil
 }
 
 // Deployment exposes the current plan (it changes after replanning).
-func (a *Adaptive) Deployment() *Deployment { return a.dep }
+func (l *adaptLoop) Deployment() *Deployment { return l.dep }
 
 // rebuildTasks re-derives a deployment's decomposition statistics from a
 // batch's profile, preserving its step grouping and replica counts, so the
@@ -102,32 +93,77 @@ func rebuildTasks(prof *Profile, cached []LogicalTask) []LogicalTask {
 	return tasks
 }
 
-// trueGraph rebuilds the deployment's task graph with the *actual* costs of
-// one concrete batch, preserving the decomposition structure and replica
-// counts, so the executor runs against ground truth even after the workload
-// shifts.
-func (a *Adaptive) trueGraph(prof *Profile) *costmodel.Graph {
-	return BuildGraph(rebuildTasks(prof, a.dep.Tasks), a.w.BatchBytes)
+// measure runs the adopted plan against one batch's true costs — its
+// profile rebuilt onto the deployment's decomposition, so the executor runs
+// against ground truth even after the workload shifts — and records the
+// batch. It returns the report with the model's prediction for the plan.
+func (l *adaptLoop) measure(prof *Profile, index int) (BatchReport, costmodel.Measurement, costmodel.Estimate) {
+	tg := BuildGraph(rebuildTasks(prof, l.dep.Tasks), l.w.BatchBytes)
+	meas := l.ex.Run(tg, l.dep.Plan)
+	pred := l.pl.Model.Estimate(l.dep.Graph, l.dep.Plan, l.w.LSet)
+	rep := BatchReport{
+		Batch:          index,
+		LatencyPerByte: meas.LatencyPerByte,
+		EnergyPerByte:  meas.EnergyPerByte,
+		Predicted:      pred.LatencyPerByte,
+		Violated:       meas.LatencyPerByte > l.w.LSet,
+	}
+	l.pl.recordBatch(meas.LatencyPerByte, meas.EnergyPerByte, rep.Violated)
+	return rep, meas, pred
+}
+
+// replan adopts a plan for prof's regime through resolvePlan: a regime
+// already planned under the current calibration is served from the cache,
+// otherwise base is replicated and placed by the planner's plan search. The
+// adoption is logged as a decision of the given kind.
+func (l *adaptLoop) replan(kind string, prof *Profile, base []LogicalTask, index int) {
+	tally := &searchTally{}
+	tasks, g, p, est, feas := l.pl.resolvePlan(tally, l.pol, l.w, prof,
+		func() ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool) {
+			g, p, est, feas := l.pl.replicateAndPlace(base, l.w.BatchBytes, l.w.LSet,
+				func(g *costmodel.Graph) costmodel.Plan {
+					return l.pl.searchPlan(tally, l.pl.Model, g, l.w.LSet).Plan
+				})
+			return base, g, p, est, feas
+		})
+	l.dep.Tasks, l.dep.Graph, l.dep.Plan, l.dep.Estimate, l.dep.Feasible = tasks, g, p, est, feas
+	l.pl.recordDeploy(kind, l.dep, tally, index)
+}
+
+// Adaptive is CStream's feedback-regulated runtime: it executes batches,
+// compares measured latency against the model's prediction, and when they
+// diverge runs incremental-PID calibration of the model's computation-cost
+// parameter followed by rescheduling.
+type Adaptive struct {
+	adaptLoop
+	// Regulate enables the feedback loop; with it off, the initial plan is
+	// kept forever (the Fig. 9 "w/o regulation" line).
+	Regulate bool
+
+	calibrator  *pid.Calibrator
+	calibrating bool
+}
+
+// NewAdaptive plans the workload with CStream and prepares the regulation
+// loop.
+func NewAdaptive(pl *Planner, w Workload, regulate bool) (*Adaptive, error) {
+	l, err := newAdaptLoop(pl, w, "adaptive")
+	if err != nil {
+		return nil, err
+	}
+	return &Adaptive{
+		adaptLoop:  l,
+		Regulate:   regulate,
+		calibrator: pid.NewCalibrator(AdaptP, AdaptI, AdaptD, 1.0, AdaptTolerance),
+	}, nil
 }
 
 // ProcessBatch compresses one batch (for real), measures the deployment on
 // the platform with that batch's true costs, and — when regulation is on —
 // runs the divergence check, PID calibration and replanning.
 func (a *Adaptive) ProcessBatch(index int) BatchReport {
-	b := a.w.Dataset.Batch(index, a.w.BatchBytes)
-	prof := profileBatch(a.w.Algorithm, b)
-	tg := a.trueGraph(prof)
-	meas := a.ex.Run(tg, a.dep.Plan)
-	pred := a.pl.Model.Estimate(a.dep.Graph, a.dep.Plan, a.w.LSet)
-
-	rep := BatchReport{
-		Batch:          index,
-		LatencyPerByte: meas.LatencyPerByte,
-		EnergyPerByte:  meas.EnergyPerByte,
-		Predicted:      pred.LatencyPerByte,
-		Violated:       meas.LatencyPerByte > a.w.LSet,
-	}
-	a.pl.recordBatch(meas.LatencyPerByte, meas.EnergyPerByte, rep.Violated)
+	prof := profileBatch(a.w.Algorithm, a.w.Dataset.Batch(index, a.w.BatchBytes))
+	rep, meas, pred := a.measure(prof, index)
 	if !a.Regulate {
 		return rep
 	}
@@ -153,25 +189,9 @@ func (a *Adaptive) ProcessBatch(index int) BatchReport {
 		a.pl.Model.SetCalibration(a.calibrator.Est, 1)
 		if converged {
 			a.calibrating = false
-			// Replan with the calibrated model through resolvePlan: a regime
-			// already planned at this calibration is served from the cache,
-			// otherwise migrate incrementally from the previous plan (few
-			// task moves; new replicas place freely).
-			tally := &searchTally{}
-			prev := a.dep.Plan
-			prevTasks := a.dep.Tasks
-			tasks, g, p, est, feas := a.pl.resolvePlan(tally, a.pol, a.w, prof,
-				func() ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool) {
-					tasks := cloneTasks(prevTasks)
-					g, p, est, feas := a.pl.replicateAndPlace(tasks, a.w.BatchBytes, a.w.LSet,
-						func(g *costmodel.Graph) costmodel.Plan {
-							return a.pl.searchIncrementalPlan(tally, g, a.w.LSet, prev, 2).Plan
-						})
-					return tasks, g, p, est, feas
-				})
-			a.dep.Tasks, a.dep.Graph, a.dep.Plan, a.dep.Estimate, a.dep.Feasible = tasks, g, p, est, feas
+			// Replan the current decomposition with the calibrated model.
+			a.replan(telemetry.KindReplanPID, prof, cloneTasks(a.dep.Tasks), index)
 			rep.Replanned = true
-			a.pl.recordDeploy(telemetry.KindReplanPID, a.dep, tally, index)
 		}
 	}
 	return rep
@@ -193,36 +213,19 @@ const statsTriggerRel = 0.25
 
 // StatsAdaptive is the statistics-triggered variant of the adaptive runtime.
 type StatsAdaptive struct {
-	pl  *Planner
-	w   Workload
-	pol policy.Policy
-	dep *Deployment
-	ex  *costmodel.Executor
+	adaptLoop
 	// baselineStat is the exponentially weighted stream statistic.
 	baselineStat float64
 }
 
 // NewStatsAdaptive plans the workload with CStream and arms the monitor.
 func NewStatsAdaptive(pl *Planner, w Workload) (*StatsAdaptive, error) {
-	pol, err := lookupPolicy(MechCStream)
+	l, err := newAdaptLoop(pl, w, "stats-adaptive")
 	if err != nil {
 		return nil, err
 	}
-	dep, err := pl.Deploy(w, MechCStream)
-	if err != nil {
-		return nil, err
-	}
-	return &StatsAdaptive{
-		pl:  pl,
-		w:   w,
-		pol: pol,
-		dep: dep,
-		ex:  &costmodel.Executor{M: pl.Machine, Sampler: amp.NewSampler(pl.deploySeed(w.Name(), "stats-adaptive"))},
-	}, nil
+	return &StatsAdaptive{adaptLoop: l}, nil
 }
-
-// Deployment exposes the current plan.
-func (a *StatsAdaptive) Deployment() *Deployment { return a.dep }
 
 // meanBitWidth samples the batch and returns the mean significant bit width
 // of its 32-bit symbols — a proxy for dynamic range and entropy that costs a
@@ -269,42 +272,15 @@ func (a *StatsAdaptive) ProcessBatch(index int) BatchReport {
 		}
 	}
 
-	rep := BatchReport{Batch: index}
+	prof := profileBatch(a.w.Algorithm, b)
 	if shifted {
-		// Re-profile this concrete batch and replan before executing it:
+		// Re-decompose this concrete batch and replan before executing it:
 		// the statistic told us the old model no longer applies. Regimes
 		// seen before (oscillating streams) are served from the plan cache.
-		prof := profileBatch(a.w.Algorithm, b)
-		tally := &searchTally{}
-		prev := a.dep.Plan
-		tasks, g, p, est, feas := a.pl.resolvePlan(tally, a.pol, a.w, prof,
-			func() ([]LogicalTask, *costmodel.Graph, costmodel.Plan, costmodel.Estimate, bool) {
-				tasks := Decompose(prof, a.pl.Machine)
-				g, p, est, feas := a.pl.replicateAndPlace(tasks, a.w.BatchBytes, a.w.LSet,
-					func(g *costmodel.Graph) costmodel.Plan {
-						return a.pl.searchIncrementalPlan(tally, g, a.w.LSet, prev, 2).Plan
-					})
-				return tasks, g, p, est, feas
-			})
-		a.dep.Tasks, a.dep.Graph, a.dep.Plan, a.dep.Estimate, a.dep.Feasible = tasks, g, p, est, feas
+		a.replan(telemetry.KindReplanStats, prof, Decompose(prof, a.pl.Machine), index)
 		a.baselineStat = stat
-		rep.Replanned = true
-		a.pl.recordDeploy(telemetry.KindReplanStats, a.dep, tally, index)
 	}
-
-	prof := profileBatch(a.w.Algorithm, b)
-	tg := a.statsTrueGraph(prof)
-	meas := a.ex.Run(tg, a.dep.Plan)
-	pred := a.pl.Model.Estimate(a.dep.Graph, a.dep.Plan, a.w.LSet)
-	rep.LatencyPerByte = meas.LatencyPerByte
-	rep.EnergyPerByte = meas.EnergyPerByte
-	rep.Predicted = pred.LatencyPerByte
-	rep.Violated = meas.LatencyPerByte > a.w.LSet
-	a.pl.recordBatch(meas.LatencyPerByte, meas.EnergyPerByte, rep.Violated)
+	rep, _, _ := a.measure(prof, index)
+	rep.Replanned = shifted
 	return rep
-}
-
-// statsTrueGraph mirrors Adaptive.trueGraph for the stats controller.
-func (a *StatsAdaptive) statsTrueGraph(prof *Profile) *costmodel.Graph {
-	return BuildGraph(rebuildTasks(prof, a.dep.Tasks), a.w.BatchBytes)
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/amp"
 	"repro/internal/compress"
 	"repro/internal/dataset"
+	"repro/internal/sched"
 )
 
 func tcomp32Rovio() Workload {
@@ -482,6 +483,66 @@ func TestStatsAdaptiveReactsImmediately(t *testing.T) {
 	}
 }
 
+// Every plan an adaptation loop adopts is placed by the planner's one plan
+// search: a PID re-plan and a stats re-plan of the Fig. 9 shift (plan cache
+// off) each run that search, and the adopted placement and estimate are
+// exactly sched.Search's on the adopted graph under the model as calibrated.
+func TestReplanAdoptsSearchOptimum(t *testing.T) {
+	replan := func(t *testing.T, pl *Planner, micro *dataset.Micro, process func(int) BatchReport) {
+		t.Helper()
+		for i := 0; i < 15; i++ {
+			if i == 5 {
+				micro.DynamicRange = 50000
+			}
+			before := pl.SearchCount()
+			if process(i).Replanned {
+				if pl.SearchCount() == before {
+					t.Fatalf("the re-plan at batch %d ran no plan search", i)
+				}
+				return
+			}
+		}
+		t.Fatal("the shift never triggered a re-plan")
+	}
+	check := func(t *testing.T, pl *Planner, w Workload, dep *Deployment) {
+		t.Helper()
+		want := sched.Search(pl.Model, dep.Graph, w.LSet)
+		if !reflect.DeepEqual(dep.Plan, want.Plan) {
+			t.Fatalf("adopted plan %v, search optimum %v", dep.Plan, want.Plan)
+		}
+		if !reflect.DeepEqual(dep.Estimate, want.Estimate) {
+			t.Fatalf("adopted estimate %+v, search optimum's %+v", dep.Estimate, want.Estimate)
+		}
+	}
+	micro := dataset.NewMicro(1)
+	micro.DynamicRange = 500
+	w := NewWorkload(compress.NewTcomp32(), micro)
+
+	t.Run("pid", func(t *testing.T) {
+		micro.DynamicRange = 500
+		pl := newPlanner(t)
+		ad, err := NewAdaptive(pl, w, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replan(t, pl, micro, ad.ProcessBatch)
+		if instr, _ := pl.Model.Calibration(); instr == 1 {
+			t.Fatal("the PID re-plan should follow a calibration")
+		}
+		check(t, pl, w, ad.Deployment())
+	})
+	t.Run("stats", func(t *testing.T) {
+		micro.DynamicRange = 500
+		pl := newPlanner(t)
+		ad, err := NewStatsAdaptive(pl, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replan(t, pl, micro, ad.ProcessBatch)
+		check(t, pl, w, ad.Deployment())
+	})
+}
+
 func TestStatsAdaptiveStableWorkloadNoReplan(t *testing.T) {
 	pl := newPlanner(t)
 	w := tcomp32Rovio()
@@ -508,36 +569,5 @@ func TestMeanBitWidthTracksRange(t *testing.T) {
 	}
 	if meanBitWidth(nil) != 0 {
 		t.Fatal("empty data must yield 0")
-	}
-}
-
-func TestTuneBatchSize(t *testing.T) {
-	pl := newPlanner(t)
-	w := tcomp32Rovio()
-	best, energy, err := TuneBatchSize(pl, w, []int{256, 4096, 65536, 262144})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Large batches amortize per-batch overheads (Fig. 11): the winner must
-	// be one of the larger candidates and cost less than the smallest.
-	if best < 65536 {
-		t.Fatalf("best B = %d, expected a large batch", best)
-	}
-	small := w
-	small.BatchBytes = 256
-	dep, err := pl.Deploy(small, MechCStream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if energy >= dep.Estimate.EnergyPerByte {
-		t.Fatalf("tuned energy %.3f not below small-batch %.3f", energy, dep.Estimate.EnergyPerByte)
-	}
-	if _, _, err := TuneBatchSize(pl, w, nil); err == nil {
-		t.Fatal("empty candidates must fail")
-	}
-	impossible := w
-	impossible.LSet = 0.1
-	if _, _, err := TuneBatchSize(pl, impossible, []int{4096}); err == nil {
-		t.Fatal("unsatisfiable constraint must fail")
 	}
 }

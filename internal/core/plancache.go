@@ -54,8 +54,8 @@ func (pl *Planner) LoadPlanCache(path string) (int, error) {
 	return pl.cache.LoadFile(path)
 }
 
-// SearchCount returns the number of plan-search invocations (full searches
-// plus incremental replans) this planner has performed.
+// SearchCount returns the number of plan-search invocations (Deploy and
+// adaptation re-plans alike) this planner has performed.
 func (pl *Planner) SearchCount() int64 { return pl.searches.Load() }
 
 // searchPlan is the planner's single entry to the full plan search: it
@@ -65,15 +65,6 @@ func (pl *Planner) searchPlan(t *searchTally, mod *costmodel.Model, g *costmodel
 	pl.searches.Add(1)
 	return pl.timedSearch(t, func() sched.Result {
 		return sched.Search(mod, g, lset)
-	})
-}
-
-// searchIncrementalPlan counts and runs the migration-bounded replan used by
-// the adaptation loops.
-func (pl *Planner) searchIncrementalPlan(t *searchTally, g *costmodel.Graph, lset float64, prev costmodel.Plan, maxMoves int) sched.Result {
-	pl.searches.Add(1)
-	return pl.timedSearch(t, func() sched.Result {
-		return sched.SearchIncremental(pl.Model, g, lset, prev, maxMoves)
 	})
 }
 

@@ -8,7 +8,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -182,38 +181,4 @@ func profileBatch(alg compress.Algorithm, b *stream.Batch) *Profile {
 		p.Steps = append(p.Steps, sp)
 	}
 	return p
-}
-
-// TuneBatchSize searches candidate batch sizes for the energy-minimal B that
-// still meets the workload's latency constraint under CStream — the
-// quantitative companion to Fig. 11 for applications that, unlike the
-// paper's Definition 1, are free to choose B. Returns the best size and its
-// estimated energy.
-func TuneBatchSize(pl *Planner, w Workload, candidates []int) (bestB int, bestEnergy float64, err error) {
-	if len(candidates) == 0 {
-		return 0, 0, fmt.Errorf("core: no batch-size candidates")
-	}
-	bestEnergy = -1
-	for _, b := range candidates {
-		if b < 4 {
-			continue
-		}
-		trial := w
-		trial.BatchBytes = b
-		dep, derr := pl.Deploy(trial, MechCStream)
-		if derr != nil {
-			return 0, 0, derr
-		}
-		if !dep.Feasible {
-			continue
-		}
-		if bestEnergy < 0 || dep.Estimate.EnergyPerByte < bestEnergy {
-			bestEnergy = dep.Estimate.EnergyPerByte
-			bestB = b
-		}
-	}
-	if bestEnergy < 0 {
-		return 0, 0, fmt.Errorf("core: no candidate batch size meets L_set=%.1f", w.LSet)
-	}
-	return bestB, bestEnergy, nil
 }

@@ -29,18 +29,13 @@ type Result struct {
 // meets the latency constraint, the minimal-latency plan is returned with
 // Feasible=false (best effort).
 func Search(mod *costmodel.Model, g *costmodel.Graph, lset float64) Result {
-	return searchCores(mod, g, lset, allCores(mod.Machine()), true)
-}
-
-// SearchOn restricts the search to a core subset (used by ablations).
-func SearchOn(mod *costmodel.Model, g *costmodel.Graph, lset float64, cores []int) Result {
-	return searchCores(mod, g, lset, cores, true)
+	return searchCores(mod, g, lset, true)
 }
 
 // SearchNoPrune disables branch-and-bound pruning (ablation benchmark for
 // the search strategy); results are identical, only cost differs.
 func SearchNoPrune(mod *costmodel.Model, g *costmodel.Graph, lset float64) Result {
-	return searchCores(mod, g, lset, allCores(mod.Machine()), false)
+	return searchCores(mod, g, lset, false)
 }
 
 func allCores(m *amp.Machine) []int {
@@ -72,12 +67,12 @@ type searchState struct {
 // searchCores precomputes the suffix bounds, seeds the incumbent with a greedy
 // energy-first plan so the energy bound prunes from the first branch, and
 // runs the DFS.
-func searchCores(mod *costmodel.Model, g *costmodel.Graph, lset float64, cores []int, prune bool) Result {
+func searchCores(mod *costmodel.Model, g *costmodel.Graph, lset float64, prune bool) Result {
 	st := &searchState{
 		mod:   mod,
 		g:     g,
 		lset:  lset,
-		cores: cores,
+		cores: allCores(mod.Machine()),
 		prune: prune,
 		cur:   make(costmodel.Plan, len(g.Tasks)),
 		busy:  make([]float64, mod.Machine().NumCores()),
@@ -347,91 +342,4 @@ func EASPlacement(m *amp.Machine, g *costmodel.Graph) costmodel.Plan {
 		util[best] += t.InstrPerByte / m.Capacity(best)
 	}
 	return p
-}
-
-// SearchIncremental re-plans while staying close to a previous assignment:
-// candidate plans moving more than maxMoves tasks away from prev are pruned,
-// which makes the periodic replanning of the feedback loop cheap and
-// migration-light (Section V-D notes rescheduling is conducted
-// incrementally by migrating from the previous plan). Tasks beyond
-// len(prev) — e.g. replicas added since — are free to place. When no
-// feasible plan exists within the move budget, the unrestricted Search
-// result is returned instead.
-func SearchIncremental(mod *costmodel.Model, g *costmodel.Graph, lset float64, prev costmodel.Plan, maxMoves int) Result {
-	if maxMoves < 0 {
-		maxMoves = 0
-	}
-	st := &incrementalState{
-		searchState: searchState{
-			mod:   mod,
-			g:     g,
-			lset:  lset,
-			cores: allCores(mod.Machine()),
-			prune: true,
-			cur:   make(costmodel.Plan, len(g.Tasks)),
-			busy:  make([]float64, mod.Machine().NumCores()),
-			bestE: math.Inf(1),
-		},
-		prev:     prev,
-		maxMoves: maxMoves,
-	}
-	st.dfs(0, 0)
-	if st.bestPlan != nil {
-		return Result{
-			Plan:          st.bestPlan,
-			Estimate:      mod.Estimate(g, st.bestPlan, lset),
-			Feasible:      true,
-			PlansExamined: st.examined,
-		}
-	}
-	return Search(mod, g, lset)
-}
-
-type incrementalState struct {
-	searchState
-	prev     costmodel.Plan
-	maxMoves int
-}
-
-// dfs mirrors searchState.dfs with a move budget; symmetry breaking must be
-// disabled for moved tasks (equivalent cores are no longer interchangeable
-// once distance-to-prev matters) but still applies to free tasks.
-func (st *incrementalState) dfs(idx, moves int) {
-	if idx == len(st.g.Tasks) {
-		st.examined++
-		est := st.mod.Estimate(st.g, st.cur, st.lset)
-		if est.Feasible && est.EnergyPerByte < st.bestE {
-			st.bestE = est.EnergyPerByte
-			st.bestPlan = st.cur.Clone()
-		}
-		return
-	}
-	t := st.g.Tasks[idx]
-	m := st.mod.Machine()
-	for _, core := range st.cores {
-		nextMoves := moves
-		if idx < len(st.prev) && core != st.prev[idx] {
-			nextMoves++
-		}
-		if nextMoves > st.maxMoves {
-			continue
-		}
-		eta := st.mod.EstEta(core, t.Kappa)
-		if eta <= 0 {
-			continue
-		}
-		l := t.InstrPerByte / eta
-		if t.Replicas > 1 {
-			l *= costmodel.ReplicaLatencyFactor
-		}
-		if st.busy[core]+l > st.lset && st.bestPlan != nil {
-			continue
-		}
-		_ = m
-		st.cur[idx] = core
-		oldBusy := st.busy[core]
-		st.busy[core] = oldBusy + l
-		st.dfs(idx+1, nextMoves)
-		st.busy[core] = oldBusy
-	}
 }

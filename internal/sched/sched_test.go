@@ -109,16 +109,6 @@ func TestSearchSymmetryBreaking(t *testing.T) {
 	}
 }
 
-func TestSearchOnRestrictedCores(t *testing.T) {
-	m, mod := newModel(t)
-	res := SearchOn(mod, testGraph(), 1e9, m.LittleCores())
-	for _, c := range res.Plan {
-		if m.Core(c).Type != amp.Little {
-			t.Fatalf("plan leaked outside little cores: %v", res.Plan)
-		}
-	}
-}
-
 func TestSearchEmptyGraph(t *testing.T) {
 	_, mod := newModel(t)
 	g := &costmodel.Graph{BatchBytes: 1024}
@@ -221,78 +211,5 @@ func TestSearchAvoidsExpensiveDirection(t *testing.T) {
 	from, to := m.Core(res.Plan[0]), m.Core(res.Plan[1])
 	if from.Type == amp.Little && to.Type == amp.Big {
 		t.Fatalf("optimal plan uses the expensive c2 direction: %v", res.Plan)
-	}
-}
-
-func TestSearchIncrementalKeepsPlacement(t *testing.T) {
-	_, mod := newModel(t)
-	g := testGraph()
-	base := Search(mod, g, 26)
-	// Zero moves allowed: the previous plan must come back verbatim when it
-	// is still feasible.
-	res := SearchIncremental(mod, g, 26, base.Plan, 0)
-	if !res.Feasible {
-		t.Fatal("incumbent plan should remain feasible")
-	}
-	for i := range base.Plan {
-		if res.Plan[i] != base.Plan[i] {
-			t.Fatalf("zero-move replan changed placement: %v vs %v", res.Plan, base.Plan)
-		}
-	}
-}
-
-func TestSearchIncrementalBoundedMoves(t *testing.T) {
-	m, mod := newModel(t)
-	g := testGraph()
-	// Start from a deliberately bad but feasible-ish plan: both on bigs.
-	prev := costmodel.Plan{m.BigCores()[0], m.BigCores()[1]}
-	res := SearchIncremental(mod, g, 26, prev, 1)
-	if !res.Feasible {
-		t.Fatal("expected a feasible bounded replan")
-	}
-	moves := 0
-	for i := range prev {
-		if res.Plan[i] != prev[i] {
-			moves++
-		}
-	}
-	if moves > 1 {
-		t.Fatalf("replan moved %d tasks, budget was 1", moves)
-	}
-	// With one move the search should have moved t1 to a little core.
-	if m.Core(res.Plan[1]).Type != amp.Little {
-		t.Fatalf("expected t1 to migrate to a little core: %v", res.Plan)
-	}
-}
-
-func TestSearchIncrementalFallsBackWhenBudgetTooTight(t *testing.T) {
-	m, mod := newModel(t)
-	g := testGraph()
-	// Previous plan infeasible (both tasks on one little core) and a zero
-	// move budget: must fall back to the full search.
-	prev := costmodel.Plan{m.LittleCores()[0], m.LittleCores()[0]}
-	res := SearchIncremental(mod, g, 26, prev, 0)
-	if !res.Feasible {
-		t.Fatal("fallback search should find the feasible optimum")
-	}
-	full := Search(mod, g, 26)
-	if res.Estimate.EnergyPerByte != full.Estimate.EnergyPerByte {
-		t.Fatalf("fallback should equal full search: %.4f vs %.4f",
-			res.Estimate.EnergyPerByte, full.Estimate.EnergyPerByte)
-	}
-}
-
-func TestSearchIncrementalNewReplicasAreFree(t *testing.T) {
-	_, mod := newModel(t)
-	g := testGraph()
-	// prev covers only task 0; task 1 (a "new replica") is placed freely
-	// without consuming move budget.
-	prev := costmodel.Plan{4}
-	res := SearchIncremental(mod, g, 26, prev, 0)
-	if !res.Feasible {
-		t.Fatal("expected feasible plan")
-	}
-	if res.Plan[0] != 4 {
-		t.Fatalf("pinned task moved: %v", res.Plan)
 	}
 }

@@ -21,7 +21,7 @@ import (
 // Canonical metric names, the catalog documented in OBSERVABILITY.md. Using
 // the constants keeps producers and the docs from drifting apart.
 const (
-	// MetricPlanSearches counts full or incremental plan-search invocations.
+	// MetricPlanSearches counts plan-search invocations.
 	MetricPlanSearches = "plan.searches"
 	// MetricPlanSearchNodes counts search-tree leaves examined (the DP/B&B
 	// nodes of Section V-C).

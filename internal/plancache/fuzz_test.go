@@ -2,11 +2,11 @@ package plancache
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/costmodel"
+	"repro/internal/recframe"
 )
 
 // FuzzPlanCacheFile throws hostile bytes at the persisted-cache decoder. The
@@ -40,7 +40,7 @@ func FuzzPlanCacheFile(f *testing.F) {
 	bad := make([]byte, 48)
 	bad = binary.BigEndian.AppendUint32(bad, 0xffffffff)
 	lyingPayload := binary.BigEndian.AppendUint32(append([]byte(nil), header...), uint32(len(bad)))
-	lyingPayload = binary.BigEndian.AppendUint32(lyingPayload, crc32.Checksum(bad, planCacheCRC))
+	lyingPayload = binary.BigEndian.AppendUint32(lyingPayload, recframe.Checksum(bad))
 	lyingPayload = append(lyingPayload, bad...)
 	f.Add(lyingPayload)
 	// Bad CRC on an otherwise valid record.

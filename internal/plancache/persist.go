@@ -21,13 +21,13 @@ package plancache
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 
 	"repro/internal/compress"
 	"repro/internal/costmodel"
+	"repro/internal/recframe"
 )
 
 const (
@@ -44,8 +44,6 @@ const (
 	maxPlanLen    = 1 << 16
 )
 
-var planCacheCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // EncodeEntries serializes entries into the CSPC file image (header plus one
 // CRC-guarded record per entry).
 func EncodeEntries(entries []*Entry) []byte {
@@ -57,7 +55,7 @@ func EncodeEntries(entries []*Entry) []byte {
 		}
 		payload := encodeEntry(e)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, planCacheCRC))
+		buf = binary.BigEndian.AppendUint32(buf, recframe.Checksum(payload))
 		buf = append(buf, payload...)
 	}
 	return buf
@@ -98,98 +96,58 @@ func encodeEntry(e *Entry) []byte {
 	return buf
 }
 
-// decoder is a bounds-checked big-endian reader over one record payload.
-// Every read reports ok=false on underflow instead of slicing past the end.
-type decoder struct {
-	buf []byte
-	off int
-	bad bool
-}
-
-func (d *decoder) u32() uint32 {
-	if d.bad || d.off+4 > len(d.buf) {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.bad || d.off+8 > len(d.buf) {
-		d.bad = true
-		return 0
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.bad || d.off+1 > len(d.buf) {
-		d.bad = true
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if d.bad || n > maxStringLen || d.off+n > len(d.buf) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
+// taskMinLen is the fewest payload bytes one encoded task takes: name
+// length, step count, four float64 aggregates, replica count.
+const taskMinLen = 4 + 4 + 4*8 + 4
 
 func decodeEntry(payload []byte) (*Entry, bool) {
-	d := &decoder{buf: payload}
+	r := recframe.NewReader(payload)
+	long := false
+	str := func() string {
+		n := r.Count(1)
+		long = long || n > maxStringLen
+		return string(r.Bytes(n))
+	}
 	e := &Entry{}
-	e.Key.Algorithm = d.str()
-	e.Key.Policy = d.str()
-	e.Key.PolicyParams = d.u64()
-	e.Key.Signature = d.u64()
-	e.Key.LSetQ = int64(d.u64())
-	e.Key.PlatformHash = d.u64()
-	e.Key.DVFSPolicy = d.str()
-	e.Key.CalibQ = int32(d.u32())
-	nTasks := int(d.u32())
-	if d.bad || nTasks > maxTasks {
+	e.Key.Algorithm = str()
+	e.Key.Policy = str()
+	e.Key.PolicyParams = r.U64()
+	e.Key.Signature = r.U64()
+	e.Key.LSetQ = int64(r.U64())
+	e.Key.PlatformHash = r.U64()
+	e.Key.DVFSPolicy = str()
+	e.Key.CalibQ = int32(r.U32())
+	nTasks := r.Count(taskMinLen)
+	if nTasks > maxTasks {
 		return nil, false
 	}
-	e.Tasks = make([]costmodel.LogicalTask, 0, nTasks)
-	for i := 0; i < nTasks; i++ {
-		var t costmodel.LogicalTask
-		t.Name = d.str()
-		nSteps := int(d.u32())
-		if d.bad || nSteps > maxSteps {
+	e.Tasks = make([]costmodel.LogicalTask, nTasks)
+	for i := range e.Tasks {
+		t := &e.Tasks[i]
+		t.Name = str()
+		nSteps := r.Count(1)
+		if nSteps > maxSteps {
 			return nil, false
 		}
-		t.Steps = make([]compress.StepKind, 0, nSteps)
-		for j := 0; j < nSteps; j++ {
-			t.Steps = append(t.Steps, compress.StepKind(d.byte()))
+		t.Steps = make([]compress.StepKind, nSteps)
+		for j := range t.Steps {
+			t.Steps[j] = compress.StepKind(r.U8())
 		}
-		t.InstrPerByte = math.Float64frombits(d.u64())
-		t.Kappa = math.Float64frombits(d.u64())
-		t.OutPerByte = math.Float64frombits(d.u64())
-		t.InPerByte = math.Float64frombits(d.u64())
-		t.Replicas = int(int32(d.u32()))
-		e.Tasks = append(e.Tasks, t)
+		t.InstrPerByte = math.Float64frombits(r.U64())
+		t.Kappa = math.Float64frombits(r.U64())
+		t.OutPerByte = math.Float64frombits(r.U64())
+		t.InPerByte = math.Float64frombits(r.U64())
+		t.Replicas = int(int32(r.U32()))
 	}
-	nPlan := int(d.u32())
-	if d.bad || nPlan > maxPlanLen {
+	nPlan := r.Count(8)
+	if nPlan > maxPlanLen {
 		return nil, false
 	}
-	e.Plan = make(costmodel.Plan, 0, nPlan)
-	for i := 0; i < nPlan; i++ {
-		e.Plan = append(e.Plan, int(int64(d.u64())))
+	e.Plan = make(costmodel.Plan, nPlan)
+	for i := range e.Plan {
+		e.Plan[i] = int(int64(r.U64()))
 	}
-	if d.bad || d.off != len(payload) {
+	if long || !r.OK() || r.Len() != 0 {
 		return nil, false
 	}
 	return e, true
@@ -201,23 +159,18 @@ func decodeEntry(payload []byte) (*Entry, bool) {
 // (short frame, CRC mismatch, lying length field, trailing garbage inside a
 // payload) ends the load with the entries decoded so far.
 func LoadBytes(data []byte) []*Entry {
-	if len(data) < len(persistMagic)+4 || string(data[:len(persistMagic)]) != persistMagic {
+	r := recframe.NewReader(data)
+	if string(r.Bytes(len(persistMagic))) != persistMagic || r.U32() != persistVersion {
 		return nil
 	}
-	if binary.BigEndian.Uint32(data[len(persistMagic):]) != persistVersion {
-		return nil
-	}
-	off := len(persistMagic) + 4
 	var entries []*Entry
-	for off+8 <= len(data) {
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		want := binary.BigEndian.Uint32(data[off+4:])
-		off += 8
-		if n > maxPayloadLen || off+n > len(data) {
+	for r.Len() >= 8 {
+		n, want := int(r.U32()), r.U32()
+		if n > maxPayloadLen {
 			break
 		}
-		payload := data[off : off+n]
-		if crc32.Checksum(payload, planCacheCRC) != want {
+		payload := r.Bytes(n)
+		if !r.OK() || recframe.Checksum(payload) != want {
 			break
 		}
 		e, ok := decodeEntry(payload)
@@ -225,7 +178,6 @@ func LoadBytes(data []byte) []*Entry {
 			break
 		}
 		entries = append(entries, e)
-		off += n
 	}
 	return entries
 }

@@ -7,13 +7,12 @@
 //
 //	header | frame* | footer frame | trailer
 //
-// where every frame reuses the internal/serve frame header layout — a 4-byte
-// big-endian length prefix covering a 1-byte kind plus a 4-byte sequence
-// field plus the payload — and appends a CRC32C (Castagnoli) of everything
-// after the length prefix. A segment being written lacks the footer and
-// trailer and carries a ".partial" suffix; sealing writes the footer index
-// (offset/timestamp per batch), fsyncs, and atomically renames the file to
-// its final name. Recovery scans a partial segment frame by frame from the
+// where every frame is an internal/recframe sealed frame: a 4-byte
+// big-endian length prefix covering a 1-byte kind, a 4-byte sequence field
+// and the payload, then a CRC32C (Castagnoli) of everything after the length
+// prefix. A segment being written lacks the footer and trailer and carries a
+// ".partial" suffix; sealing writes the footer index (offset/timestamp per
+// batch), fsyncs, and atomically renames the file to its final name. Recovery scans a partial segment frame by frame from the
 // header, rebuilds the index from the batch frames, truncates the torn tail,
 // and seals what survived. The full byte layout, rotation semantics, and the
 // operator runbook live in STORAGE.md at the repository root.
@@ -23,15 +22,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/compress"
+	"repro/internal/recframe"
 )
 
-// Format constants. The frame header layout ([4]len [1]kind [4]seq) is
-// deliberately identical to the internal/serve wire protocol, so a serve
-// frame decoder pointed at the region after a segment header parses frame
-// boundaries correctly; segstore additionally requires the trailing CRC32C.
+// Format constants. The frame layout is internal/recframe's.
 const (
 	// Version is the on-disk format version written into every header.
 	Version = 1
@@ -40,12 +36,6 @@ const (
 	headerSize = 40
 	// algField is the width of the header's NUL-padded algorithm name.
 	algField = 16
-
-	// frameOverhead mirrors serve's frame overhead: kind byte + sequence
-	// word. A frame's length prefix counts frameOverhead + payload.
-	frameOverhead = 5
-	// frameCRCSize is the CRC32C appended after every frame body.
-	frameCRCSize = 4
 
 	// trailerSize is the fixed seal trailer: footer offset + magic.
 	trailerSize = 16
@@ -57,9 +47,6 @@ const (
 	// batchFixed is the fixed prefix of a batch frame payload: timestamp,
 	// input bytes, total bits, segment count.
 	batchFixed = 8 + 4 + 8 + 4
-	// segFixed is the fixed prefix of one encoded segment: slice index,
-	// original length, bit length, compressed length.
-	segFixed = 4 + 4 + 8 + 4
 
 	// MaxFrameBytes bounds a frame's advertised length; the recovery scan
 	// treats anything larger as a torn tail instead of seeking past it.
@@ -80,10 +67,6 @@ const (
 var (
 	headerMagic  = [8]byte{'C', 'S', 'T', 'R', 'S', 'E', 'G', '1'}
 	trailerMagic = [8]byte{'C', 'S', 'T', 'R', 'F', 'T', 'R', '1'}
-
-	// castagnoli is the CRC32C table; crc32.Checksum with it allocates
-	// nothing on the append path.
-	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
 // Sentinel errors, distinguishable with errors.Is.
@@ -92,7 +75,7 @@ var (
 	// corrupt — nothing in it can be trusted.
 	ErrNotSegment = errors.New("segstore: not a segment file (bad or torn header)")
 	// ErrCorruptFrame reports a frame whose CRC32C or structure is invalid.
-	ErrCorruptFrame = errors.New("segstore: corrupt frame")
+	ErrCorruptFrame = recframe.ErrCorrupt
 	// ErrClosed reports use of a closed Store or Segment.
 	ErrClosed = errors.New("segstore: closed")
 	// ErrBatchRange reports a batch ordinal outside the segment's index.
@@ -123,7 +106,7 @@ func appendHeader(buf []byte, h Header) ([]byte, error) {
 	copy(alg[:], h.Algorithm)
 	buf = append(buf, alg[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, 0) // reserved
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:start+headerSize-frameCRCSize], castagnoli))
+	buf = binary.BigEndian.AppendUint32(buf, recframe.Checksum(buf[start:start+headerSize-recframe.CRCLen]))
 	return buf, nil
 }
 
@@ -135,8 +118,8 @@ func parseHeader(data []byte) (Header, error) {
 	if [8]byte(data[:8]) != headerMagic {
 		return Header{}, fmt.Errorf("%w: bad magic", ErrNotSegment)
 	}
-	want := binary.BigEndian.Uint32(data[headerSize-frameCRCSize : headerSize])
-	if crc32.Checksum(data[:headerSize-frameCRCSize], castagnoli) != want {
+	want := binary.BigEndian.Uint32(data[headerSize-recframe.CRCLen : headerSize])
+	if recframe.Checksum(data[:headerSize-recframe.CRCLen]) != want {
 		return Header{}, fmt.Errorf("%w: header CRC mismatch", ErrNotSegment)
 	}
 	h := Header{
@@ -158,44 +141,21 @@ func parseHeader(data []byte) (Header, error) {
 	return h, nil
 }
 
-// beginFrame appends the frame header for a payload of unknown length,
-// returning the offset of the length prefix. endFrame back-patches the
-// length and appends the CRC once the payload is on buf.
-func beginFrame(buf []byte, kind byte, seq uint32) ([]byte, int) {
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint32(buf, 0) // patched by endFrame
-	buf = append(buf, kind)
-	buf = binary.BigEndian.AppendUint32(buf, seq)
-	return buf, start
-}
-
-// endFrame finalizes the frame begun at start: patches the length prefix and
-// appends the CRC32C of the body (kind, sequence, payload).
-func endFrame(buf []byte, start int) []byte {
-	body := buf[start+4:]
-	binary.BigEndian.PutUint32(buf[start:start+4], uint32(len(body)))
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(body, castagnoli))
-}
-
-// appendBatchFrame encodes one compressed batch as a frame onto buf. The
-// layout after the serve-style header is: timestamp, input bytes, total
-// bits, segment count, then each segment's slice index / original length /
-// bit length / compressed length / compressed bytes.
+// appendBatchFrame encodes one compressed batch as a sealed frame onto buf.
+// The payload is the timestamp, input bytes, total bits and segment count,
+// then each segment's recframe metadata block and compressed bytes.
 func appendBatchFrame(buf []byte, batch uint32, tsNanos int64, res *compress.PipelineResult) []byte {
-	buf, start := beginFrame(buf, FrameBatch, batch)
+	buf, start := recframe.Begin(buf, FrameBatch, batch)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(tsNanos))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(res.InputBytes))
 	buf = binary.BigEndian.AppendUint64(buf, res.TotalBits)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(res.Segments)))
 	for i := range res.Segments {
 		s := &res.Segments[i]
-		buf = binary.BigEndian.AppendUint32(buf, uint32(s.SliceIndex))
-		buf = binary.BigEndian.AppendUint32(buf, uint32(s.OrigLen))
-		buf = binary.BigEndian.AppendUint64(buf, s.BitLen)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Compressed)))
+		buf = recframe.AppendSegmentMeta(buf, s)
 		buf = append(buf, s.Compressed...)
 	}
-	return endFrame(buf, start)
+	return recframe.Seal(buf, start)
 }
 
 // IndexEntry locates one batch frame inside a segment; the footer is a list
@@ -216,7 +176,7 @@ type IndexEntry struct {
 // buf[0], so the footer frame lands at footerBase+len(buf).
 func appendFooterFrame(buf []byte, footerBase int, index []IndexEntry) []byte {
 	footerOff := footerBase + len(buf)
-	buf, start := beginFrame(buf, FrameFooter, uint32(len(index)))
+	buf, start := recframe.Begin(buf, FrameFooter, uint32(len(index)))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(index)))
 	for _, e := range index {
 		buf = binary.BigEndian.AppendUint64(buf, e.Offset)
@@ -224,47 +184,9 @@ func appendFooterFrame(buf []byte, footerBase int, index []IndexEntry) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, e.InputBytes)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(e.TimestampNanos))
 	}
-	buf = endFrame(buf, start)
+	buf = recframe.Seal(buf, start)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(footerOff))
 	return append(buf, trailerMagic[:]...)
-}
-
-// rawFrame is one frame located in a byte view of a segment.
-type rawFrame struct {
-	off     int // offset of the length prefix
-	kind    byte
-	seq     uint32
-	payload []byte // aliases the view
-	size    int    // total on-disk size including prefix and CRC
-}
-
-// parseFrameAt validates and decodes the frame starting at off in data. Any
-// structural or checksum problem comes back as ErrCorruptFrame — callers
-// scanning a torn tail treat that as "the segment ends here".
-func parseFrameAt(data []byte, off int) (rawFrame, error) {
-	if off < 0 || off+4 > len(data) {
-		return rawFrame{}, fmt.Errorf("%w: truncated length prefix at %d", ErrCorruptFrame, off)
-	}
-	n := binary.BigEndian.Uint32(data[off : off+4])
-	if n < frameOverhead || n > MaxFrameBytes {
-		return rawFrame{}, fmt.Errorf("%w: length %d at %d", ErrCorruptFrame, n, off)
-	}
-	end := off + 4 + int(n) + frameCRCSize
-	if end > len(data) {
-		return rawFrame{}, fmt.Errorf("%w: frame at %d runs past EOF", ErrCorruptFrame, off)
-	}
-	body := data[off+4 : off+4+int(n)]
-	want := binary.BigEndian.Uint32(data[off+4+int(n) : end])
-	if crc32.Checksum(body, castagnoli) != want {
-		return rawFrame{}, fmt.Errorf("%w: CRC mismatch at %d", ErrCorruptFrame, off)
-	}
-	return rawFrame{
-		off:     off,
-		kind:    body[0],
-		seq:     binary.BigEndian.Uint32(body[1:5]),
-		payload: body[frameOverhead:],
-		size:    end - off,
-	}, nil
 }
 
 // StoredBatch is one batch read back from a segment. Segments alias the
@@ -295,70 +217,39 @@ func (b *StoredBatch) Decode() ([]byte, error) {
 	})
 }
 
-// parseBatchPayload decodes a FrameBatch payload. Segment byte slices alias
-// the payload.
-func parseBatchPayload(f rawFrame, alg string) (*StoredBatch, error) {
-	p := f.payload
-	if len(p) < batchFixed {
-		return nil, fmt.Errorf("%w: batch payload %d bytes at %d", ErrCorruptFrame, len(p), f.off)
-	}
+// parseBatchPayload decodes the FrameBatch f found at off. Segment byte
+// slices alias the payload.
+func parseBatchPayload(f recframe.Frame, off int, alg string) (*StoredBatch, error) {
+	r := recframe.NewReader(f.Payload)
 	b := &StoredBatch{
-		Batch:          int(f.seq),
-		TimestampNanos: int64(binary.BigEndian.Uint64(p[0:8])),
-		InputBytes:     int(binary.BigEndian.Uint32(p[8:12])),
-		TotalBits:      binary.BigEndian.Uint64(p[12:20]),
+		Batch:          int(f.Seq),
+		TimestampNanos: int64(r.U64()),
+		InputBytes:     int(r.U32()),
+		TotalBits:      r.U64(),
 		alg:            alg,
 	}
-	nsegs := int(binary.BigEndian.Uint32(p[20:24]))
-	p = p[batchFixed:]
-	if nsegs < 0 || nsegs > len(p)/segFixed+1 {
-		return nil, fmt.Errorf("%w: segment count %d at %d", ErrCorruptFrame, nsegs, f.off)
+	b.Segments = make([]compress.Segment, r.Count(recframe.SegmentMetaLen))
+	for i := range b.Segments {
+		seg := &b.Segments[i]
+		seg.Compressed = r.Bytes(r.SegmentMeta(seg))
 	}
-	b.Segments = make([]compress.Segment, 0, nsegs)
-	for i := 0; i < nsegs; i++ {
-		if len(p) < segFixed {
-			return nil, fmt.Errorf("%w: truncated segment %d at %d", ErrCorruptFrame, i, f.off)
-		}
-		seg := compress.Segment{
-			SliceIndex: int(binary.BigEndian.Uint32(p[0:4])),
-			OrigLen:    int(binary.BigEndian.Uint32(p[4:8])),
-			BitLen:     binary.BigEndian.Uint64(p[8:16]),
-		}
-		clen := int(binary.BigEndian.Uint32(p[16:20]))
-		p = p[segFixed:]
-		if clen < 0 || len(p) < clen {
-			return nil, fmt.Errorf("%w: segment %d bytes run past frame at %d", ErrCorruptFrame, i, f.off)
-		}
-		seg.Compressed = p[:clen:clen]
-		p = p[clen:]
-		b.Segments = append(b.Segments, seg)
-	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in batch frame at %d", ErrCorruptFrame, len(p), f.off)
+	if !r.OK() || r.Len() != 0 {
+		return nil, fmt.Errorf("%w: batch frame at %d does not hold its segments exactly", ErrCorruptFrame, off)
 	}
 	return b, nil
 }
 
-// parseFooterPayload decodes a FrameFooter payload into its index entries.
-func parseFooterPayload(f rawFrame) ([]IndexEntry, error) {
-	p := f.payload
-	if len(p) < 4 {
-		return nil, fmt.Errorf("%w: footer payload %d bytes at %d", ErrCorruptFrame, len(p), f.off)
-	}
-	count := int(binary.BigEndian.Uint32(p[0:4]))
-	p = p[4:]
-	if count < 0 || len(p) != count*footerEntrySize {
-		return nil, fmt.Errorf("%w: footer count %d vs %d payload bytes at %d", ErrCorruptFrame, count, len(p), f.off)
+// parseFooterPayload decodes the FrameFooter f found at off into its index
+// entries.
+func parseFooterPayload(f recframe.Frame, off int) ([]IndexEntry, error) {
+	r := recframe.NewReader(f.Payload)
+	count := r.Count(footerEntrySize)
+	if !r.OK() || r.Len() != count*footerEntrySize {
+		return nil, fmt.Errorf("%w: footer count %d vs %d payload bytes at %d", ErrCorruptFrame, count, len(f.Payload), off)
 	}
 	index := make([]IndexEntry, count)
 	for i := range index {
-		e := p[i*footerEntrySize:]
-		index[i] = IndexEntry{
-			Offset:         binary.BigEndian.Uint64(e[0:8]),
-			Batch:          binary.BigEndian.Uint32(e[8:12]),
-			InputBytes:     binary.BigEndian.Uint32(e[12:16]),
-			TimestampNanos: int64(binary.BigEndian.Uint64(e[16:24])),
-		}
+		index[i] = IndexEntry{Offset: r.U64(), Batch: r.U32(), InputBytes: r.U32(), TimestampNanos: int64(r.U64())}
 	}
 	return index, nil
 }
@@ -393,26 +284,26 @@ func scanSegment(data []byte) (Header, scanResult, error) {
 	res := scanResult{validLen: headerSize, footerAt: -1}
 	off := headerSize
 	for off < len(data) {
-		f, err := parseFrameAt(data, off)
+		f, err := recframe.ParseSealed(data, off, MaxFrameBytes)
 		if err != nil {
 			res.truncatedFrames = 1
 			break
 		}
-		switch f.kind {
+		switch f.Kind {
 		case FrameBatch:
-			if len(f.payload) < batchFixed {
+			if len(f.Payload) < batchFixed {
 				res.truncatedFrames = 1
 				res.truncatedBytes = len(data) - res.validLen
 				return h, res, nil
 			}
 			res.index = append(res.index, IndexEntry{
-				Offset:         uint64(f.off),
-				Batch:          f.seq,
-				InputBytes:     binary.BigEndian.Uint32(f.payload[8:12]),
-				TimestampNanos: int64(binary.BigEndian.Uint64(f.payload[0:8])),
+				Offset:         uint64(off),
+				Batch:          f.Seq,
+				InputBytes:     binary.BigEndian.Uint32(f.Payload[8:12]),
+				TimestampNanos: int64(binary.BigEndian.Uint64(f.Payload[0:8])),
 			})
 		case FrameFooter:
-			res.footerAt = f.off
+			res.footerAt = off
 		default:
 			// An unknown kind with a valid CRC is not torn, it is foreign;
 			// stop without trusting anything at or past it.
@@ -420,7 +311,7 @@ func scanSegment(data []byte) (Header, scanResult, error) {
 			res.truncatedBytes = len(data) - off
 			return h, res, nil
 		}
-		off += f.size
+		off += f.Size
 		res.validLen = off
 		// A seal trailer directly after a footer ends the segment cleanly;
 		// tolerate it mid-scan so sealed files scan identically.
@@ -467,15 +358,12 @@ func sealedIndex(data []byte) ([]IndexEntry, bool) {
 	if footerOff < headerSize || footerOff > uint64(len(data)-trailerSize) {
 		return nil, false
 	}
-	f, err := parseFrameAt(data, int(footerOff))
-	if err != nil || f.kind != FrameFooter {
+	f, err := recframe.ParseSealed(data, int(footerOff), MaxFrameBytes)
+	if err != nil || f.Kind != FrameFooter || int(footerOff)+f.Size != len(data)-trailerSize {
 		return nil, false
 	}
-	if f.off+f.size != len(data)-trailerSize {
-		return nil, false
-	}
-	idx, err := parseFooterPayload(f)
-	if err != nil || !footerOffsetsValid(idx, f.off) {
+	idx, err := parseFooterPayload(f, int(footerOff))
+	if err != nil || !footerOffsetsValid(idx, int(footerOff)) {
 		return nil, false
 	}
 	return idx, true

@@ -2,10 +2,11 @@ package segstore
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/recframe"
 )
 
 // fuzzSeedSegment builds a real sealed segment through the Store so the fuzzer
@@ -72,9 +73,9 @@ func FuzzSegmentFooter(f *testing.F) {
 	lying := append([]byte(nil), sealed...)
 	fOff := int(off)
 	n := int(binary.BigEndian.Uint32(lying[fOff : fOff+4]))
-	binary.BigEndian.PutUint32(lying[fOff+4+frameOverhead:], 1<<30)
+	binary.BigEndian.PutUint32(lying[fOff+4+recframe.Overhead:], 1<<30)
 	body := lying[fOff+4 : fOff+4+n]
-	binary.BigEndian.PutUint32(lying[fOff+4+n:], crc32.Checksum(body, castagnoli))
+	binary.BigEndian.PutUint32(lying[fOff+4+n:], recframe.Checksum(body))
 	f.Add(lying)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -82,12 +83,12 @@ func FuzzSegmentFooter(f *testing.F) {
 			for _, e := range idx {
 				// Entries come from a CRC-valid footer but may still point at
 				// garbage; following them must fail loudly, never crash.
-				fr, err := parseFrameAt(data, int(e.Offset))
+				fr, err := recframe.ParseSealed(data, int(e.Offset), MaxFrameBytes)
 				if err != nil {
 					continue
 				}
-				if fr.kind == FrameBatch {
-					_, _ = parseBatchPayload(fr, "delta32")
+				if fr.Kind == FrameBatch {
+					_, _ = parseBatchPayload(fr, int(e.Offset), "delta32")
 				}
 			}
 		}

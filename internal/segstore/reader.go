@@ -3,6 +3,7 @@ package segstore
 import (
 	"fmt"
 
+	"repro/internal/recframe"
 	"repro/internal/segstore/mmap"
 )
 
@@ -102,14 +103,14 @@ func (s *Segment) ReadBatch(i int) (*StoredBatch, error) {
 		return nil, fmt.Errorf("%w: %d of %d", ErrBatchRange, i, len(s.index))
 	}
 	off := int(s.index[i].Offset)
-	f, err := parseFrameAt(s.data.Bytes(), off)
+	f, err := recframe.ParseSealed(s.data.Bytes(), off, MaxFrameBytes)
 	if err != nil {
 		return nil, fmt.Errorf("%s: batch %d: %w", s.path, i, err)
 	}
-	if f.kind != FrameBatch {
-		return nil, fmt.Errorf("%s: batch %d: %w: kind 0x%02x", s.path, i, ErrCorruptFrame, f.kind)
+	if f.Kind != FrameBatch {
+		return nil, fmt.Errorf("%s: batch %d: %w: kind 0x%02x", s.path, i, ErrCorruptFrame, f.Kind)
 	}
-	return parseBatchPayload(f, s.hdr.Algorithm)
+	return parseBatchPayload(f, off, s.hdr.Algorithm)
 }
 
 // Close unmaps the file. Batches read from the segment must not be used

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"io"
 	"testing"
+
+	"repro/internal/recframe"
 )
 
 // FuzzFrameCodec drives ReadFrame with arbitrary byte streams. The invariants
@@ -27,7 +29,7 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte{})                                         // zero-length input: clean io.EOF
 	f.Add([]byte{0x00, 0x80})                               // torn length prefix
 	f.Add([]byte{0x00, 0x80, 0x00, 0x01})                   // length > MaxFrameBytes
-	f.Add([]byte{0x00, 0x00, 0x00, 0x02})                   // length < frameOverhead
+	f.Add([]byte{0x00, 0x00, 0x00, 0x02})                   // length < recframe.Overhead
 	f.Add([]byte{0x00, 0x00, 0x00, 0x0a, 0x04, 0x00, 0x00}) // truncated body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -67,8 +69,8 @@ func FuzzFrameCodec(f *testing.F) {
 			}
 			return
 		}
-		if len(fr.Payload) > MaxFrameBytes-frameOverhead {
-			t.Fatalf("accepted payload of %d bytes, above the %d cap", len(fr.Payload), MaxFrameBytes-frameOverhead)
+		if len(fr.Payload) > MaxFrameBytes-recframe.Overhead {
+			t.Fatalf("accepted payload of %d bytes, above the %d cap", len(fr.Payload), MaxFrameBytes-recframe.Overhead)
 		}
 		if fr.Type == FrameResult {
 			// A result payload decodes or is refused as truncated, whatever

@@ -13,6 +13,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/recframe"
 	"repro/internal/telemetry"
 )
 
@@ -456,7 +457,7 @@ func TestOpenRejectsBatchBytesAboveFrameLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	limit := MaxFrameBytes - frameOverhead
+	limit := MaxFrameBytes - recframe.Overhead
 
 	_, err = c.Open(OpenRequest{Tenant: "big", Algorithm: "rle32", SLO: "bronze", BatchBytes: limit + 1})
 	if err == nil || !strings.Contains(err.Error(), "batch_bytes") {

@@ -21,6 +21,7 @@ import (
 	"sync"
 
 	"repro/internal/compress"
+	"repro/internal/recframe"
 )
 
 // Frame types of the wire protocol. Clients send Open/Data/Close; the server
@@ -50,16 +51,12 @@ const (
 // prefix cannot balloon memory.
 const MaxFrameBytes = 8 << 20
 
-// frameOverhead is the frame-type byte plus the session ID, the part of the
-// advertised length that is not payload.
-const frameOverhead = 5
-
 // Framing errors, distinguishable with errors.Is.
 var (
 	// ErrFrameTooLarge reports a length prefix above MaxFrameBytes.
-	ErrFrameTooLarge = errors.New("serve: frame exceeds MaxFrameBytes")
+	ErrFrameTooLarge = recframe.ErrTooLarge
 	// ErrFrameTooShort reports a length prefix below the fixed overhead.
-	ErrFrameTooShort = errors.New("serve: frame shorter than header")
+	ErrFrameTooShort = recframe.ErrTooShort
 	// ErrShed reports that the server declined a session at admission.
 	ErrShed = errors.New("serve: session shed")
 )
@@ -122,54 +119,27 @@ func (fb *FrameBuffer) Release() {
 // steady-state data plane uses ReadFrameInto instead, which recycles body
 // buffers through the frame pool.
 func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
-	}
-	if n < frameOverhead {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, n)
-	}
-	//lint:allow hotpathalloc ReadFrame hands payload ownership to the caller by contract; the pooled zero-alloc path is ReadFrameInto
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	return Frame{
-		Type:    body[0],
-		Session: binary.BigEndian.Uint32(body[1:5]),
-		Payload: body[frameOverhead:],
-	}, nil
+	return ReadFrameInto(r, &FrameBuffer{})
 }
 
 // ReadFrameInto is ReadFrame reusing fb's body buffer: the returned
 // Frame.Payload aliases fb and stays valid only until the buffer's next
-// ReadFrameInto or Release. Error semantics match ReadFrame exactly; on
-// error fb is untouched apart from scratch growth and may be reused. Once
-// the buffer has grown to the connection's largest frame, reads allocate
-// nothing.
+// ReadFrameInto or Release. On error fb is untouched apart from scratch
+// growth and may be reused. Once the buffer has grown to the connection's
+// largest frame, reads allocate nothing.
 func ReadFrameInto(r io.Reader, fb *FrameBuffer) (Frame, error) {
-	if cap(fb.data) < frameOverhead {
+	if cap(fb.data) < recframe.HeaderLen {
 		fb.data = make([]byte, 0, 4<<10)
 	}
 	hdr := fb.data[:4]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxFrameBytes {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	n, err := recframe.BodyLen(hdr, MaxFrameBytes)
+	if err != nil {
+		return Frame{}, err
 	}
-	if n < frameOverhead {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooShort, n)
-	}
-	if cap(fb.data) < int(n) {
+	if cap(fb.data) < n {
 		fb.data = make([]byte, 0, n)
 	}
 	body := fb.data[:n]
@@ -179,11 +149,8 @@ func ReadFrameInto(r io.Reader, fb *FrameBuffer) (Frame, error) {
 		}
 		return Frame{}, err
 	}
-	return Frame{
-		Type:    body[0],
-		Session: binary.BigEndian.Uint32(body[1:5]),
-		Payload: body[frameOverhead:],
-	}, nil
+	typ, session, payload := recframe.Split(body)
+	return Frame{Type: typ, Session: session, Payload: payload}, nil
 }
 
 // frameHeader pools the encoded wire header and the two-element vector list
@@ -194,7 +161,7 @@ func ReadFrameInto(r io.Reader, fb *FrameBuffer) (Frame, error) {
 // struct, because WriteTo's pointer receiver would force a stack-local
 // net.Buffers to escape on every frame.
 type frameHeader struct {
-	hdr  [4 + frameOverhead]byte
+	hdr  [recframe.HeaderLen]byte
 	vecs net.Buffers
 	wr   net.Buffers
 }
@@ -210,18 +177,16 @@ var frameHeaderPool = sync.Pool{New: func() any {
 // connection writer and the client's write mutex both do — so frames never
 // interleave.
 func WriteFrame(w io.Writer, typ byte, session uint32, payload []byte) error {
-	if len(payload) > MaxFrameBytes-frameOverhead {
+	if len(payload) > MaxFrameBytes-recframe.Overhead {
 		return fmt.Errorf("%w: %d payload bytes", ErrFrameTooLarge, len(payload))
 	}
 	fh := frameHeaderPool.Get().(*frameHeader)
-	binary.BigEndian.PutUint32(fh.hdr[:4], uint32(frameOverhead+len(payload)))
-	fh.hdr[4] = typ
-	binary.BigEndian.PutUint32(fh.hdr[5:9], session)
+	hdr := recframe.AppendHeader(fh.hdr[:0], len(payload), typ, session)
 	var err error
 	if len(payload) == 0 {
-		_, err = w.Write(fh.hdr[:])
+		_, err = w.Write(hdr)
 	} else {
-		fh.vecs = append(fh.vecs[:0], fh.hdr[:], payload)
+		fh.vecs = append(fh.vecs[:0], hdr, payload)
 		fh.wr = fh.vecs
 		_, err = fh.wr.WriteTo(w)
 		// WriteTo consumed wr in place; clear the stable backing entries so
@@ -302,27 +267,22 @@ func (r *Result) Decode() ([]byte, error) {
 	})
 }
 
-// Result payload layout constants: the fixed block (input bytes, three
-// float64 measures, the violation flag, the segment count) and the
-// per-segment metadata block (slice index, orig len, bit len, compressed
-// len) that precedes each segment's bytes.
-const (
-	resultFixedLen = 4 + 8*3 + 1 + 4
-	segMetaLen     = 4 + 4 + 8 + 4
-)
+// resultFixedLen is the Result payload's fixed block: input bytes, three
+// float64 measures, the violation flag, the segment count. Each segment
+// follows as a recframe metadata block and its bytes.
+const resultFixedLen = 4 + 8*3 + 1 + 4
 
 // resultPayloadLen returns the exact FrameResult payload size for res.
 func resultPayloadLen(res *compress.PipelineResult) int {
 	n := resultFixedLen
 	for i := range res.Segments {
-		n += segMetaLen + len(res.Segments[i].Compressed)
+		n += recframe.SegmentMetaLen + len(res.Segments[i].Compressed)
 	}
 	return n
 }
 
-// appendResultFixed appends the fixed result block. The wire layout is
-// shared by writeResultFrame and the reference encoder its tests compare it
-// with (encodeResultInto); change it only in lockstep with decodeResultInto.
+// appendResultFixed appends the fixed result block; change it only in
+// lockstep with decodeResultInto.
 func appendResultFixed(dst []byte, res *compress.PipelineResult, m Measure) []byte {
 	dst = binary.BigEndian.AppendUint32(dst, uint32(res.InputBytes))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.LatencyPerByte))
@@ -334,14 +294,6 @@ func appendResultFixed(dst []byte, res *compress.PipelineResult, m Measure) []by
 		dst = append(dst, 0)
 	}
 	return binary.BigEndian.AppendUint32(dst, uint32(len(res.Segments)))
-}
-
-// appendSegmentMeta appends one segment's metadata block (not its bytes).
-func appendSegmentMeta(dst []byte, s *compress.Segment) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.SliceIndex))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(s.OrigLen))
-	dst = binary.BigEndian.AppendUint64(dst, s.BitLen)
-	return binary.BigEndian.AppendUint32(dst, uint32(len(s.Compressed)))
 }
 
 // resultScratch holds the reusable metadata buffer and vector list for
@@ -365,14 +317,14 @@ type resultScratch struct {
 // w or rs.
 func writeResultFrame(w io.Writer, session uint32, res *compress.PipelineResult, m Measure, rs *resultScratch) error {
 	payloadLen := resultPayloadLen(res)
-	if payloadLen > MaxFrameBytes-frameOverhead {
+	if payloadLen > MaxFrameBytes-recframe.Overhead {
 		return fmt.Errorf("%w: %d payload bytes", ErrFrameTooLarge, payloadLen)
 	}
 	// All metadata — frame header, fixed block, every segment's meta — lives
 	// contiguously in rs.meta; the vector list interleaves slices of it with
 	// the segments' own buffers. Pre-sizing is exact, so the appends below
 	// never reallocate and the vector slices stay valid.
-	metaNeed := 4 + frameOverhead + resultFixedLen + len(res.Segments)*segMetaLen
+	metaNeed := recframe.HeaderLen + resultFixedLen + len(res.Segments)*recframe.SegmentMetaLen
 	if cap(rs.meta) < metaNeed {
 		rs.meta = make([]byte, 0, metaNeed)
 	}
@@ -380,17 +332,14 @@ func writeResultFrame(w io.Writer, session uint32, res *compress.PipelineResult,
 	if cap(rs.vecs) < nvec {
 		rs.vecs = make(net.Buffers, nvec)
 	}
-	meta := rs.meta[:0]
-	meta = binary.BigEndian.AppendUint32(meta, uint32(frameOverhead+payloadLen))
-	meta = append(meta, FrameResult)
-	meta = binary.BigEndian.AppendUint32(meta, session)
+	meta := recframe.AppendHeader(rs.meta[:0], payloadLen, FrameResult, session)
 	meta = appendResultFixed(meta, res, m)
 	vecs := rs.vecs[:cap(rs.vecs)][:nvec]
 	head := len(meta)
 	for i := range res.Segments {
 		s := &res.Segments[i]
 		start := len(meta)
-		meta = appendSegmentMeta(meta, s)
+		meta = recframe.AppendSegmentMeta(meta, s)
 		vecs[1+2*i] = meta[start:len(meta):len(meta)]
 		vecs[2+2*i] = s.Compressed
 	}
@@ -429,23 +378,20 @@ func decodeResult(algorithm string, p []byte) (*Result, error) {
 // makes pooled frame buffers safe to recycle under the decoded result. On a
 // truncated payload r is left partially overwritten but safe to reuse.
 func decodeResultInto(r *Result, algorithm string, p []byte) error {
-	if len(p) < resultFixedLen {
-		return errTruncatedResult
-	}
+	rd := recframe.NewReader(p)
 	r.Algorithm = algorithm
-	r.InputBytes = int(binary.BigEndian.Uint32(p[0:4]))
+	r.InputBytes = int(rd.U32())
 	r.Measure = Measure{
-		LatencyPerByte: math.Float64frombits(binary.BigEndian.Uint64(p[4:12])),
-		EnergyPerByte:  math.Float64frombits(binary.BigEndian.Uint64(p[12:20])),
-		Contention:     math.Float64frombits(binary.BigEndian.Uint64(p[20:28])),
-		Violated:       p[28] == 1,
+		LatencyPerByte: math.Float64frombits(rd.U64()),
+		EnergyPerByte:  math.Float64frombits(rd.U64()),
+		Contention:     math.Float64frombits(rd.U64()),
+		Violated:       rd.U8() == 1,
 	}
 	r.TotalBits = 0
-	nsegs := int(binary.BigEndian.Uint32(p[29:33]))
-	p = p[resultFixedLen:]
-	// Each segment takes segMetaLen bytes of metadata, so a count the
-	// payload cannot hold is refused before the segment slice grows.
-	if nsegs > len(p)/segMetaLen {
+	// Count refuses a segment count the payload cannot hold, so the segment
+	// slice never grows past what the payload describes.
+	nsegs := rd.Count(recframe.SegmentMetaLen)
+	if !rd.OK() {
 		return errTruncatedResult
 	}
 	if cap(r.Segments) < nsegs {
@@ -457,22 +403,14 @@ func decodeResultInto(r *Result, algorithm string, p []byte) error {
 	} else {
 		r.Segments = r.Segments[:nsegs]
 	}
-	for i := 0; i < nsegs; i++ {
-		if len(p) < segMetaLen {
-			return errTruncatedResult
-		}
+	for i := range r.Segments {
 		sl := &r.Segments[i]
-		sl.SliceIndex = int(binary.BigEndian.Uint32(p[0:4]))
-		sl.OrigLen = int(binary.BigEndian.Uint32(p[4:8]))
-		sl.BitLen = binary.BigEndian.Uint64(p[8:16])
-		clen := int(binary.BigEndian.Uint32(p[16:20]))
-		p = p[segMetaLen:]
-		if len(p) < clen {
-			return errTruncatedResult
-		}
-		sl.Compressed = append(sl.Compressed[:0], p[:clen]...)
-		p = p[clen:]
+		clen := rd.SegmentMeta(sl)
+		sl.Compressed = append(sl.Compressed[:0], rd.Bytes(clen)...)
 		r.TotalBits += sl.BitLen
+	}
+	if !rd.OK() {
+		return errTruncatedResult
 	}
 	return nil
 }

@@ -5,36 +5,37 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/compress"
+	"repro/internal/recframe"
 )
 
 // encodeResult packs a pipeline result and its measurement into a
 // FrameResult payload: the plain reference encoder that writeResultFrame's
-// vectored write must match byte for byte. The segments' bytes are copied,
-// so the caller may Release the pipeline result immediately afterwards.
+// vectored write must match byte for byte. It writes every field itself and
+// shares no helper with the production encoder, so the comparison is
+// between two encoders. The segments' bytes are copied, so the caller may
+// Release the pipeline result immediately afterwards.
 func encodeResult(res *compress.PipelineResult, m Measure) []byte {
-	return encodeResultInto(nil, res, m)
-}
-
-// encodeResultInto is encodeResult building into dst's backing array (grown
-// only past its high-water mark), so a caller that recycles dst across
-// batches encodes without allocating. dst's length is ignored; the encoded
-// payload is returned.
-func encodeResultInto(dst []byte, res *compress.PipelineResult, m Measure) []byte {
-	if need := resultPayloadLen(res); cap(dst) < need {
-		dst = make([]byte, 0, need)
+	be := binary.BigEndian
+	dst := be.AppendUint32(nil, uint32(res.InputBytes))
+	dst = be.AppendUint64(dst, math.Float64bits(m.LatencyPerByte))
+	dst = be.AppendUint64(dst, math.Float64bits(m.EnergyPerByte))
+	dst = be.AppendUint64(dst, math.Float64bits(m.Contention))
+	if m.Violated {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
 	}
-	dst = dst[:0]
-	dst = appendResultFixed(dst, res, m)
-	for i := range res.Segments {
-		s := &res.Segments[i]
-		dst = appendSegmentMeta(dst, s)
-		// Pre-sized above: extend in place and copy, no growth per batch.
-		n := len(dst)
-		dst = dst[:n+len(s.Compressed)]
-		copy(dst[n:], s.Compressed)
+	dst = be.AppendUint32(dst, uint32(len(res.Segments)))
+	for _, s := range res.Segments {
+		dst = be.AppendUint32(dst, uint32(s.SliceIndex))
+		dst = be.AppendUint32(dst, uint32(s.OrigLen))
+		dst = be.AppendUint64(dst, s.BitLen)
+		dst = be.AppendUint32(dst, uint32(len(s.Compressed)))
+		dst = append(dst, s.Compressed...)
 	}
 	return dst
 }
@@ -113,7 +114,7 @@ func TestReadFrameRejectsOversizedBeforeAllocation(t *testing.T) {
 
 func TestReadFrameRejectsUndersized(t *testing.T) {
 	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], frameOverhead-1)
+	binary.BigEndian.PutUint32(prefix[:], recframe.Overhead-1)
 	_, err := ReadFrame(&prefixOnlyReader{prefix: prefix[:]})
 	if !errors.Is(err, ErrFrameTooShort) {
 		t.Fatalf("err = %v, want ErrFrameTooShort", err)

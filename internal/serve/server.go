@@ -18,6 +18,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/recframe"
 	"repro/internal/segstore"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
@@ -831,7 +832,7 @@ func (s *Server) openSession(id uint32, req OpenRequest) (*session, OpenReply, s
 	// No Data frame can carry a larger batch, and profiling materialises
 	// batchBytes of proxy data, so a larger size is refused before any
 	// tenant accounting or shard work.
-	if limit := MaxFrameBytes - frameOverhead; batchBytes > limit {
+	if limit := MaxFrameBytes - recframe.Overhead; batchBytes > limit {
 		return nil, OpenReply{}, "", fmt.Errorf("batch_bytes %d exceeds the %d-byte Data payload limit", batchBytes, limit)
 	}
 	// Resolved before any tenant accounting or memo: a name that is not an

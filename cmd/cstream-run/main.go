@@ -24,7 +24,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -110,7 +109,7 @@ func run(algName, dsName, mech string, lset float64, batch, batches, reps int, s
 		s.MeanLatency, s.P99Latency, s.MeanEnergy, s.CLCV, s.Runs)
 	planner.RecordMeasurement(dep, ms, w.LSet)
 
-	var rec trace.Recorder
+	var rec telemetry.Recorder
 	// Chain the text-Gantt recorder and the telemetry span recorder as
 	// needed; nil means the unobserved fast path.
 	var obs compress.StageObserver

@@ -154,8 +154,8 @@ func (r *PipelineResult) Release() {
 }
 
 // StageObserver receives one callback per completed slice of pipeline work,
-// with the algorithm's name as the stage; internal/trace.Recorder.Record
-// satisfies it.
+// with the algorithm's name as the stage; internal/telemetry's
+// Recorder.Record satisfies it.
 type StageObserver func(stage string, slice int, start, end time.Time)
 
 // helperShare is the least input, in bytes, every participant of a run must

@@ -3,8 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/trace"
 )
 
 // The Chrome trace-event format (the JSON consumed by Perfetto and
@@ -44,11 +42,11 @@ const schedulerTID = 0
 // trace-event JSON. Span timestamps are microseconds relative to the
 // earliest span start; each (stage, slice) pair becomes its own named thread
 // row in first-appearance order, so the Perfetto timeline reads like the
-// text Gantt chart of trace.Recorder.Render. Decisions carry no wall-clock
+// text Gantt chart of Recorder.Render. Decisions carry no wall-clock
 // time, so they are placed on the scheduler row at one microsecond per
 // sequence number — their ordering, not their horizontal position, is the
 // signal. The output is deterministic for given inputs.
-func ChromeTrace(spans []trace.Span, decisions []Decision) ([]byte, error) {
+func ChromeTrace(spans []Span, decisions []Decision) ([]byte, error) {
 	events := []chromeEvent{{
 		Name: "process_name", Ph: "M", PID: chromePID, TID: schedulerTID,
 		Args: map[string]any{"name": "cstream"},

@@ -7,18 +7,16 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // fixtureTrace builds a small, fully deterministic trace: four pipeline spans
 // across three (stage, slice) rows plus one deploy and one measure decision.
-func fixtureTrace() ([]trace.Span, []Decision) {
+func fixtureTrace() ([]Span, []Decision) {
 	base := time.Unix(1700000000, 0).UTC()
 	at := func(us int) time.Time { return base.Add(time.Duration(us) * time.Microsecond) }
-	rec := &trace.Recorder{}
+	rec := &Recorder{}
 	rec.Record("xor", 0, at(0), at(100))
 	rec.Record("xor", 1, at(20), at(140))
 	rec.Record("emit", 0, at(100), at(180))

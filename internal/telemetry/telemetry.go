@@ -12,11 +12,7 @@
 // and operator recipes.
 package telemetry
 
-import (
-	"encoding/json"
-
-	"repro/internal/trace"
-)
+import "encoding/json"
 
 // Canonical metric names, the catalog documented in OBSERVABILITY.md. Using
 // the constants keeps producers and the docs from drifting apart.
@@ -81,13 +77,13 @@ const (
 type Sink struct {
 	reg *Registry
 	dec *DecisionLog
-	rec *trace.Recorder
+	rec *Recorder
 }
 
 // New builds an enabled Sink with an empty registry, decision log, and span
 // recorder.
 func New() *Sink {
-	return &Sink{reg: NewRegistry(), dec: NewDecisionLog(), rec: &trace.Recorder{}}
+	return &Sink{reg: NewRegistry(), dec: NewDecisionLog(), rec: &Recorder{}}
 }
 
 // Metrics returns the sink's registry (nil on a nil sink).
@@ -109,7 +105,7 @@ func (s *Sink) Decisions() *DecisionLog {
 // Spans returns the sink's pipeline span recorder (nil on a nil sink);
 // Recorder.Record satisfies compress.StageObserver, so it plugs directly
 // into the observed pipeline runtime.
-func (s *Sink) Spans() *trace.Recorder {
+func (s *Sink) Spans() *Recorder {
 	if s == nil {
 		return nil
 	}
@@ -125,7 +121,7 @@ func (s *Sink) MetricsJSON() ([]byte, error) {
 // ChromeTraceJSON exports the recorded pipeline spans and scheduling
 // decisions as Chrome trace-event JSON (the payload of /debug/trace).
 func (s *Sink) ChromeTraceJSON() ([]byte, error) {
-	var spans []trace.Span
+	var spans []Span
 	var decisions []Decision
 	if s != nil {
 		spans = s.rec.Spans()

@@ -32,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"net/http"
@@ -351,7 +352,7 @@ func runLoadgen(cfg serve.Config, lg loadgenConfig) int {
 					cs.recordRTT(rtt)
 					if n%64 == 0 {
 						decoded, err := reuse.Decode()
-						if err != nil || !bytesEqual(decoded, payload) {
+						if err != nil || !bytes.Equal(decoded, payload) {
 							atomic.AddInt64(&mismatches, 1)
 						}
 					}
@@ -376,7 +377,7 @@ func runLoadgen(cfg serve.Config, lg loadgenConfig) int {
 						atomic.AddInt64(&cs.violations, 1)
 					}
 					decoded, err := res.Decode()
-					if err != nil || !bytesEqual(decoded, payload) {
+					if err != nil || !bytes.Equal(decoded, payload) {
 						atomic.AddInt64(&mismatches, 1)
 					}
 				}
@@ -487,16 +488,4 @@ func runLoadgen(cfg serve.Config, lg loadgenConfig) int {
 	}
 	fmt.Println("loadgen: PASS")
 	return 0
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -678,6 +678,53 @@ func BenchmarkServeOpenCold(b *testing.B) {
 	}
 }
 
+// BenchmarkServeSetupPaper measures serve-large's cold set-up over loopback:
+// each iteration builds a fresh server and opens tcomp32, tdic32 and lz4 at
+// the paper's B = 932 800 under silver. The three algorithms profile from the
+// server's one proxy slot, so the two proxy batches are generated once per
+// iteration, not once per algorithm. The benchdiff gate pins its allocs/op,
+// which is the same at every b.N: one P and no collection inside an
+// iteration, as in BenchmarkServeOpenCold; two collections before each
+// iteration, because the first only moves the pools' contents to their
+// victim caches, where Gets still find them; and a timer that runs only
+// inside the loop, so switching P count and GC mode does not add a share
+// that shrinks with b.N.
+func BenchmarkServeSetupPaper(b *testing.B) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	defer b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		srv, err := serve.New(serve.Config{Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Start("127.0.0.1:0"); err != nil {
+			b.Fatal(err)
+		}
+		c, err := serve.Dial(srv.Addr().String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, alg := range []string{"tcomp32", "tdic32", "lz4"} {
+			sess, err := c.Open(serve.OpenRequest{Tenant: "t", Algorithm: alg, SLO: "silver", BatchBytes: core.DefaultBatchBytes})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := sess.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.Close()
+		srv.Close()
+	}
+}
+
 // BenchmarkPlanCacheAdaptation measures a replan served by the LRU plan
 // cache (signature match, re-validation under the current model) against the
 // full search that a cold planner would pay.

@@ -11,10 +11,11 @@
 //
 //   - starts with Compress or compress (but not Decompress/decompress:
 //     decode paths return fresh buffers by contract), or
-//   - is part of the serve frame path — ReadFrame/ReadFrameInto, WriteFrame,
-//     writeResultFrame, decodeResultInto and the appendResult*/appendSegment*
-//     helpers — which carries the same zero-allocation contract per served
-//     frame (PR 10).
+//   - is part of the record codec — serve's ReadFrame/ReadFrameInto,
+//     WriteFrame, writeResultFrame, decodeResultInto and appendResult*,
+//     recframe's AppendHeader, Seal and AppendSegmentMeta, and the segment
+//     sink's AppendResult — which carries the same zero-allocation contract
+//     per served or persisted frame.
 //
 // Inside a hot path the analyzer flags
 //
@@ -65,9 +66,11 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// framePathPrefixes are the serve frame-codec functions under the per-frame
-// zero-allocation contract. Prefix matching keeps the *Into variants covered
-// by their base names; plain decodeResult is deliberately absent (it hands a
+// framePathPrefixes are the record-codec functions under the per-frame
+// zero-allocation contract: serve's frame path, the shared record layout in
+// internal/recframe (AppendHeader, Seal, AppendSegmentMeta) and the segment
+// sink's AppendResult. Prefix matching keeps the *Into variants covered by
+// their base names; plain decodeResult is deliberately absent (it hands a
 // freshly decoded Result to the caller by contract — the steady-state path
 // is decodeResultInto).
 var framePathPrefixes = []string{
@@ -76,7 +79,10 @@ var framePathPrefixes = []string{
 	"writeResultFrame",
 	"decodeResultInto",
 	"appendResult",
-	"appendSegment",
+	"AppendResult",
+	"AppendHeader",
+	"AppendSegmentMeta",
+	"Seal",
 	"resultPayloadLen",
 }
 

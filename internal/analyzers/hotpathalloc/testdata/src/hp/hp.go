@@ -89,11 +89,11 @@ func WriteFrameVec(payload []byte) [][]byte {
 	return append(vecs, payload)
 }
 
-// Hot: appendSegment prefix; per-segment growth must be pre-sized.
-func appendSegmentLoop(segs [][]byte) []byte {
+// Hot: AppendSegmentMeta prefix; per-segment growth must be pre-sized.
+func AppendSegmentMetaLoop(segs [][]byte) []byte {
 	var dst []byte
 	for _, s := range segs {
-		dst = append(dst, s...) // want `append growth in loop in hot path appendSegmentLoop`
+		dst = append(dst, s...) // want `append growth in loop in hot path AppendSegmentMetaLoop`
 	}
 	return dst
 }

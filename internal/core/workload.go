@@ -100,7 +100,9 @@ func ProfileWorkload(w Workload, batches, firstBatch int) *Profile {
 		win := window[:min(len(window), batches-lo)]
 		generateBatches(w, firstBatch+lo, win)
 		for _, b := range win {
-			r := sess.CompressBatch(b)
+			// Only the counts and costs are read, so the session's reused
+			// result serves and the compressed bytes are never copied.
+			r := sess.CompressBatchReuse(b)
 			sum.InputBytes += r.InputBytes
 			sum.BitLen += r.BitLen
 			for k, st := range r.Steps {
@@ -162,7 +164,7 @@ func generateBatches(w Workload, first int, out []*stream.Batch) {
 // obtain the ground-truth costs after a workload shift).
 func profileBatch(alg compress.Algorithm, b *stream.Batch) *Profile {
 	sess := alg.NewSession()
-	r := sess.CompressBatch(b)
+	r := sess.CompressBatchReuse(b)
 	p := &Profile{
 		Workload:   alg.Name(),
 		StageSets:  compress.StageSets(alg),

@@ -97,7 +97,8 @@ type Config struct {
 	DefaultBatchBytes int
 	// ProfileDataset names the proxy generator sessions are profiled
 	// against (sessions push their own bytes, so planning uses a stand-in
-	// sample). Default "Micro".
+	// sample). Default "Micro"; New fails on a name dataset.ByName does not
+	// know.
 	ProfileDataset string
 	// ProfileBatches is the profiling depth per deployment. Default 2.
 	ProfileBatches int
@@ -262,19 +263,17 @@ func newShard(index int, pl *core.Planner, reg *telemetry.Registry) *shard {
 
 // plan plans a session shape on behalf of shard sh, counting the plan on it:
 // the CStream search runs under the class CLC on the server's one proxy
-// profile for the (algorithm, batch size). It runs once per shape, under
-// s.deps, and every session of the shape shares the result, whichever shard
-// and tenant it belongs to. Errors are cached like results: a given shape
-// plans deterministically, so retrying an infeasible profile would burn the
-// same search again for the same answer. openSession resolves the algorithm
-// before the memo, so an unknown name never reaches either memo.
+// profile for the (algorithm, batch size), profiled from the server's proxy
+// slot, so the algorithms opened at one size share its generated batches. It
+// runs once per shape, under s.deps, and every session of the shape shares
+// the result, whichever shard and tenant it belongs to. Errors are cached
+// like results: a given shape plans deterministically, so retrying an
+// infeasible profile would burn the same search again for the same answer.
+// openSession resolves the algorithm before the memo, so an unknown name
+// never reaches either memo.
 func (s *Server) plan(sh *shard, alg compress.Algorithm, key depKey) *planned {
 	sh.shapes.Add(1)
-	gen, err := dataset.ByName(s.cfg.ProfileDataset, s.cfg.Seed)
-	if err != nil {
-		return &planned{err: err}
-	}
-	w := core.NewWorkload(alg, gen)
+	w := core.NewWorkload(alg, s.proxy)
 	w.BatchBytes = key.batchBytes
 	w.LSet = key.lset
 	prof := s.profiles.get(profileKey{algorithm: alg.Name(), batchBytes: w.BatchBytes}, func() *core.Profile {
@@ -412,8 +411,10 @@ type Server struct {
 	// planner is the server's one planner and plan cache; every shard's
 	// runtime plans with it. profiles and deps memoise its inputs and
 	// outputs: one proxy profile per (algorithm, batch bytes) and one
-	// deployment per session shape.
+	// deployment per session shape. proxy generates the profiled batches
+	// and keeps those of the last profiled size.
 	planner  *core.Planner
+	proxy    *proxySlot
 	profiles memo[profileKey, *core.Profile]
 	deps     memo[depKey, *planned]
 	shards   []*shard
@@ -492,6 +493,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	gen, err := dataset.ByName(cfg.ProfileDataset, cfg.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: profile dataset: %w", err)
+	}
+	s.proxy = newProxySlot(gen, cfg.ProfileBatches)
 	if s.planner, err = core.NewPlanner(machine, cfg.Seed); err != nil {
 		return nil, err
 	}
